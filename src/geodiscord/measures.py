@@ -20,11 +20,17 @@ and H splits the family into three cases with per-case gap formulas; see
 :func:`classify_x_case` and :func:`gap_x`.
 
 General states get ``gd`` from the closed Bloch-space form (largest
-eigenvalue of x x^t + T T^t) and ``ggqd`` from a sphere maximization over the
-side-B axis, the side-A maximization being available in closed form.  An
-independent evaluator, :func:`ggqd_matrix_form`, maximizes the same quantity
-through literal block-matrix products and a characteristic-polynomial
-eigenvalue, and serves as a cross-check of :func:`ggqd_general`.
+eigenvalue of x x^t + T T^t) and ``ggqd`` from an alternating ascent over the
+two measurement axes: the dephased purity is quadratic in the side-A axis for
+a fixed side-B axis and the reverse, so each half-sweep replaces one axis by a
+top eigenvector and never lowers it, and each sweep also tries the side-B
+axis moved on along its own step, keeping the best point.  The starts are the best points of a
+512-point Fibonacci lattice on each side plus a few axes read off the state;
+each sweeps until it stalls, the best three sweep on until they agree, and
+OptimizerDidNotConverge is raised when they still differ by more than 1e-9.
+An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
+a biquadratic form recovered from literal block-matrix products and serves as
+a cross-check of :func:`ggqd_general`.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sphere
-from ._sphere import OptimizerConfig, OptimizerDidNotConverge
 from .core import (
     TOL_IMAG,
     BlochForm,
@@ -46,6 +50,10 @@ from .core import (
 
 # Negative round-off in a measure value is clamped to zero down to this bound.
 CLAMP_FLOOR = -1e-10
+
+
+class OptimizerDidNotConverge(RuntimeError):
+    """The best multi-start results disagree beyond the accepted spread."""
 
 
 class ComplexInput(ValueError):
@@ -324,50 +332,182 @@ def gd_dakic(state: DensityMatrix4) -> MeasureResult:
     return MeasureResult(value, Method.DAKIC, (_canonical_axis(vecs[:, -1]), None), clamped)
 
 
-def _top_a_axis(x: np.ndarray, tb: np.ndarray) -> MeasurementAxis:
-    k = np.outer(x, x) + np.outer(tb, tb)
-    _, vecs = np.linalg.eigh(k)
-    return _canonical_axis(vecs[:, -1])
+def _fibonacci_lattice(n: int) -> np.ndarray:
+    """(n, 3) unit vectors of the n-point Fibonacci sphere lattice."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(1.0 - z * z)
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def ggqd_general(
-    state: DensityMatrix4, opt: OptimizerConfig = OptimizerConfig()
-) -> MeasureResult:
+# Two-sided ascent settings.  Tolerances are in units of each evaluator's own
+# closed-in-a objective.
+_LATTICE = _fibonacci_lattice(512)
+_LATTICE_SEEDS = 12  # best lattice points kept as starts
+_RISE_TOL = 1e-13  # a start stops once one sweep raises it by no more
+_AGREE_TOL = 1e-12  # the best three stop once they agree this closely
+_SPREAD_TOL = 1e-9  # guard: accepted spread of the best three starts
+_MAX_SWEEPS = 20_000  # sweeps in all, both stages
+# Multiples of a sweep's move tried beyond its end; 0 keeps the plain sweep.
+_EXTRAPOLATION = np.concatenate([[0.0], 4.0 ** np.arange(6)])
+
+
+def _top_eigvecs(mats: np.ndarray) -> np.ndarray:
+    """Top eigenvectors of an (n, 3, 3) stack of symmetric matrices."""
+    return np.linalg.eigh(mats)[1][..., -1]
+
+
+def _eigen_ascent(b_seeds, a_seeds, a_matrix, b_matrix, objective):
+    """Maximize a form that is quadratic in a for fixed b and in b for fixed a.
+
+    a_matrix(b) and b_matrix(a) map (n, 3) stacks of unit vectors to the
+    (n, 3, 3) matrices whose top eigenvectors are the best a for each b and
+    the best b for each a; objective(b) is the form maximized over a in
+    closed form.  Side-A seeds enter through one b-step.  One sweep replaces
+    a, then b, by those eigenvectors, so the form never decreases; it then
+    moves b on along the sweep's step by the multiples in _EXTRAPOLATION
+    and keeps whichever point objective rates highest.  That choice
+    includes the plain sweep, so it never lowers the form either, and it
+    shortens the slow linear convergence seen when two singular values of
+    the cross term nearly coincide.  Every start sweeps until one sweep
+    raises it by at most _RISE_TOL; the best three then sweep on until they
+    agree within _AGREE_TOL or none of them rises, with _MAX_SWEEPS sweeps
+    in all.
+
+    Returns (b, objective(b)) of the best start.  Raises
+    OptimizerDidNotConverge when the best three starts spread more than
+    _SPREAD_TOL.
+    """
+    b = np.concatenate([b_seeds, _top_eigvecs(b_matrix(a_seeds))])
+    value = objective(b)
+    active = np.arange(len(b))
+    endgame = False
+    for _ in range(_MAX_SWEEPS):
+        if not endgame and active.size == 0:
+            endgame = True
+            active = np.argsort(value)[-3:]
+        if endgame and np.ptp(value[active]) <= _AGREE_TOL:
+            break
+        old = b[active]
+        new = _top_eigvecs(b_matrix(_top_eigvecs(a_matrix(old))))
+        # b and -b are one measurement: orient new so new - old is the move
+        new *= np.where((new * old).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
+        trial = new[:, None, :] + _EXTRAPOLATION[:, None] * (new - old)[:, None, :]
+        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial_value = objective(trial.reshape(-1, 3)).reshape(trial.shape[:2])
+        rows, pick = np.arange(len(active)), trial_value.argmax(axis=1)
+        top = trial_value[rows, pick]
+        b[active] = trial[rows, pick]
+        rise = top - value[active]
+        value[active] = top
+        if not endgame:
+            active = active[rise > _RISE_TOL]
+        elif rise.max() <= 0.0:
+            break
+    order = np.argsort(value)
+    spread = float(value[order[-1]] - value[order[-3]])
+    if spread > _SPREAD_TOL:
+        raise OptimizerDidNotConverge(
+            f"best starts disagree by {spread:.3e} > {_SPREAD_TOL:.1e}"
+        )
+    best = order[-1]
+    return b[best], float(value[best])
+
+
+def _lattice_seeds(objective) -> np.ndarray:
+    """The _LATTICE_SEEDS lattice points where objective is largest."""
+    return _LATTICE[np.argsort(objective(_LATTICE))[-_LATTICE_SEEDS:]]
+
+
+def _twice_f(b: np.ndarray, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 max_a f(a, b) over unit a, for an (n, 3) stack of unit b."""
+    nx2 = x @ x
+    tb = b @ t.T
+    ntb2 = (tb * tb).sum(axis=-1)
+    xd = tb @ x
+    yd = b @ y
+    root = np.sqrt((nx2 - ntb2) ** 2 + 4.0 * xd * xd)
+    return nx2 + ntb2 + root + 2.0 * yd * yd
+
+
+def _axis_seeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of v, plus u/|u| unless u = 0."""
+    nu = float(np.linalg.norm(u))
+    return np.concatenate([v, u[None, :] / nu]) if nu > 0.0 else v
+
+
+def _rank1_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u u^t + v v^t for a fixed 3-vector u and an (n, 3) stack v."""
+    return np.outer(u, u) + v[:, :, None] * v[:, None, :]
+
+
+def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     """Two-sided measure of an arbitrary two-qubit state.
 
-    For a fixed side-B axis b the side-A maximization has the closed form
+    The dephased purity of product measurements along unit axes a and b is
+    (1 + f(a, b))/4 with
 
-        f(b) = (b.y)^2 + lam_max(x x^t + (Tb)(Tb)^t)
-             = (b.y)^2 + [|x|^2 + |Tb|^2
-                          + sqrt((|x|^2 - |Tb|^2)^2 + 4 (x.Tb)^2)] / 2
+        f(a, b) = (a.x)^2 + (b.y)^2 + (a^t T b)^2.
 
-    (lam_max of a sum of two rank-1 Gram terms), so only b is searched, with
-    the deterministic multi-start ascent from the optimizer module.  The
-    returned value is (|x|^2 + |y|^2 + |T|^2 - f(b*)) / 4 and the search
-    tracks 2 f(b) internally.
+    For fixed b the best a is the top eigenvector of x x^t + (Tb)(Tb)^t, and
+    for fixed a the best b is the top eigenvector of y y^t + (T^t a)(T^t a)^t.
+    Alternating the two steps is the higher-order power method (De Lathauwer,
+    De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000): each step
+    maximizes f over one axis with the other held, so f never decreases.
+    Maximized over a in closed form (lam_max of two rank-1 Gram terms),
 
-    Raises OptimizerDidNotConverge when the multi-start spread exceeds
-    opt.tol.
+        f(b) = (b.y)^2 + [|x|^2 + |Tb|^2
+                          + sqrt((|x|^2 - |Tb|^2)^2 + 4 (x.Tb)^2)] / 2.
+
+    The side-B starts are the 12 points of a 512-point Fibonacci lattice
+    where f(b) is largest, the right singular vectors of T and y/|y|.  The
+    side-A starts mirror them (the 12 best lattice points under f maximized
+    over b, the left singular vectors of T and x/|x|) and enter through one
+    b-step; without them a narrow maximum can hold only two starts and trip
+    the guard.  After each sweep b is also moved on along the sweep's step
+    by 1, 4, 16, ..., 1024 times its length, and the point with the largest
+    f(b), the plain sweep included, is kept: f still never decreases, and
+    when T has two close singular values the slow linear convergence of
+    the plain ascent, which can take the whole sweep budget, is cut by an
+    order of magnitude.  Each start sweeps until its 2 f(b) rises by at most 1e-13
+    per sweep; the best three then sweep on until they agree within 1e-12 or
+    stop rising, with 20 000 sweeps in all at most.  The best start is
+    picked by the closed form f(b), not by the last eigenvalue, and the
+    returned value is (|x|^2 + |y|^2 + |T|^2 - f(b*)) / 4.
+
+    Raises OptimizerDidNotConverge when the best three starts differ in
+    2 f(b) by more than 1e-9.
     """
     bloch = bloch_decompose(state)
     x, y, t = bloch.x, bloch.y, bloch.T
-    nx2 = float(x @ x)
-    s_total = nx2 + float(y @ y) + float((t * t).sum())
+    s_total = float(x @ x) + float(y @ y) + float((t * t).sum())
+    u, _, vt = np.linalg.svd(t)
 
-    def objective(theta, phi):
-        b = _sphere.unit_vectors(theta, phi)
-        tb = b @ t.T
-        ntb2 = (tb * tb).sum(axis=-1)
-        xd = tb @ x
-        yd = b @ y
-        root = np.sqrt((nx2 - ntb2) ** 2 + 4.0 * xd * xd)
-        return nx2 + ntb2 + root + 2.0 * yd * yd
+    def a_matrix(b):
+        return _rank1_sum(x, b @ t.T)
 
-    th, ph, fmax = _sphere.maximize_on_sphere(objective, opt)
+    def b_matrix(a):
+        return _rank1_sum(y, a @ t)
+
+    def objective(b):
+        return _twice_f(b, x, y, t)
+
+    def objective_a(a):
+        return _twice_f(a, y, x, t.T)
+
+    b, fmax = _eigen_ascent(
+        np.concatenate([_lattice_seeds(objective), _axis_seeds(y, vt)]),
+        np.concatenate([_lattice_seeds(objective_a), _axis_seeds(x, u.T)]),
+        a_matrix,
+        b_matrix,
+        objective,
+    )
     value, clamped = _finalize((s_total - 0.5 * fmax) / 4.0)
-    b_axis = MeasurementAxis.from_angles(th, ph)
-    a_axis = _top_a_axis(x, b_axis.n @ t.T)
-    return MeasureResult(value, Method.GENERAL_OPT, (a_axis, b_axis), clamped)
+    a = _top_eigvecs(a_matrix(b[None, :]))[0]
+    return MeasureResult(
+        value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
+    )
 
 
 _EXTRACT_POINTS = np.array(
@@ -397,6 +537,19 @@ def _monomials(v: np.ndarray) -> np.ndarray:
     )
 
 
+def _quadratic_matrices(g: np.ndarray) -> np.ndarray:
+    """(..., 6) monomial coefficients -> (..., 3, 3) symmetric matrices M
+    with v^t M v = _monomials(v) . g."""
+    mats = np.empty(g.shape[:-1] + (3, 3))
+    mats[..., 0, 0] = g[..., 0]
+    mats[..., 1, 1] = g[..., 1]
+    mats[..., 2, 2] = g[..., 2]
+    mats[..., 0, 1] = mats[..., 1, 0] = 0.5 * g[..., 3]
+    mats[..., 0, 2] = mats[..., 2, 0] = 0.5 * g[..., 4]
+    mats[..., 1, 2] = mats[..., 2, 1] = 0.5 * g[..., 5]
+    return mats
+
+
 def _block_row(v: np.ndarray) -> np.ndarray:
     """The 2x4 block (1/sqrt2) [[1, v], [1, -v]]."""
     out = np.empty((2, 4))
@@ -406,20 +559,29 @@ def _block_row(v: np.ndarray) -> np.ndarray:
     return out / np.sqrt(2.0)
 
 
-def ggqd_matrix_form(
-    state: DensityMatrix4, opt: OptimizerConfig = OptimizerConfig()
-) -> MeasureResult:
+def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     """Two-sided measure through literal block-matrix products.
 
     Evaluates tr(C C^t) - max_{a,b} tr(A C B^t B C^t A^t) with
     C = (1/2) [[1, y^t], [x, T]] and A, B the 2x4 blocks
     (1/sqrt2) [[1, a], [1, -a]] built from unit vectors a and b.  The trace
-    objective is an exact biquadratic polynomial in (a, b); its coefficients
-    are recovered from a fixed set of literal evaluations, after which the
-    inner maximization over a reduces to the largest eigenvalue of a 3x3
-    quadratic form and only b is searched on the sphere.  This shares no
-    algebra with :func:`ggqd_general` beyond the coefficient matrix C, so it
-    serves as an independent check of that route.
+    objective is an exact biquadratic polynomial in (a, b),
+
+        c0 + a^t qa a + b^t qb b + a^t G(b) a,   a^t G(b) a = b^t G'(a) b,
+
+    whose coefficients are recovered from a fixed set of literal
+    evaluations.  For fixed b the best a is the top eigenvector of
+    qa + G(b), and for fixed a the best b is the top eigenvector of
+    qb + G'(a); each step maximizes over one axis with the other held, so
+    alternating the two never decreases the objective.  The starts are the
+    12 points of a 512-point Fibonacci lattice where the objective maximized
+    over a (c0 + b^t qb b + lam_max(qa + G(b))) is largest, and the 12 where
+    it is largest maximized over b, carried to b by one b-step.  The
+    extrapolation along each sweep's step, the stopping rule and the guard
+    are those of :func:`ggqd_general`, on this objective's
+    scale: OptimizerDidNotConverge when the best three starts differ by more
+    than 1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
+    coefficient matrix C, so it serves as an independent check of that route.
     """
     c = bloch_decompose(state).coefficient_matrix()
     trcc = float((c * c).sum())
@@ -446,33 +608,27 @@ def ggqd_matrix_form(
             )
     ghat = np.linalg.solve(mono, np.linalg.solve(mono, hq).T).T
 
-    def objective(theta, phi):
-        b = _sphere.unit_vectors(theta, phi)
-        gb = _monomials(b) @ ghat.T
-        mats = np.empty(b.shape[:-1] + (3, 3))
-        mats[..., 0, 0] = qa[0, 0] + gb[..., 0]
-        mats[..., 1, 1] = qa[1, 1] + gb[..., 1]
-        mats[..., 2, 2] = qa[2, 2] + gb[..., 2]
-        mats[..., 0, 1] = mats[..., 1, 0] = qa[0, 1] + 0.5 * gb[..., 3]
-        mats[..., 0, 2] = mats[..., 2, 0] = qa[0, 2] + 0.5 * gb[..., 4]
-        mats[..., 1, 2] = mats[..., 2, 1] = qa[1, 2] + 0.5 * gb[..., 5]
-        quad_b = np.einsum("...i,ij,...j->...", b, qb, b)
-        return c0 + quad_b + sym3_eigmax_batch(mats)
+    def a_matrix(b):
+        return qa + _quadratic_matrices(_monomials(b) @ ghat.T)
 
-    th, ph, inner = _sphere.maximize_on_sphere(objective, opt)
-    value, clamped = _finalize(trcc - inner)
-    b_axis = MeasurementAxis.from_angles(th, ph)
-    gb = _monomials(b_axis.n) @ ghat.T
-    amat = qa + np.array(
-        [
-            [gb[0], 0.5 * gb[3], 0.5 * gb[4]],
-            [0.5 * gb[3], gb[1], 0.5 * gb[5]],
-            [0.5 * gb[4], 0.5 * gb[5], gb[2]],
-        ]
+    def b_matrix(a):
+        return qb + _quadratic_matrices(_monomials(a) @ ghat)
+
+    def objective(b):
+        quad_b = np.einsum("...i,ij,...j->...", b, qb, b)
+        return c0 + quad_b + sym3_eigmax_batch(a_matrix(b))
+
+    def objective_a(a):
+        quad_a = np.einsum("...i,ij,...j->...", a, qa, a)
+        return c0 + quad_a + sym3_eigmax_batch(b_matrix(a))
+
+    b, inner = _eigen_ascent(
+        _lattice_seeds(objective), _lattice_seeds(objective_a), a_matrix, b_matrix, objective
     )
-    _, vecs = np.linalg.eigh(amat)
+    value, clamped = _finalize(trcc - inner)
+    a = _top_eigvecs(a_matrix(b[None, :]))[0]
     return MeasureResult(
-        value, Method.GENERAL_OPT, (_canonical_axis(vecs[:, -1]), b_axis), clamped
+        value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )
 
 

@@ -3,7 +3,7 @@
 Reference implementations that locate the optimal local projective
 measurements by scanning axis grids on the Bloch sphere, refining around the
 best cell, and reporting purity(rho) minus the best dephased purity.  They
-share no algebra with the closed forms or the sphere optimizer in
+share no algebra with the closed forms or the two-sided ascent in
 ``measures``; the only quantities evaluated are projector probabilities, so
 these searches serve as an independent check of everything else.
 

@@ -1,5 +1,10 @@
 """File formats, command dispatch, exit codes, and output determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,6 +146,17 @@ class TestCompute:
 
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file.x"]) == EXIT_USAGE
+
+    def test_module_entry_point(self, tmp_path):
+        path = write(tmp_path, "bell.x", BELL_X)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "geodiscord", "compute", path],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "ggqd = 0.5" in done.stdout
 
 
 class TestSweep:
