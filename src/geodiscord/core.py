@@ -14,7 +14,7 @@ and the purity identity (1 + |x|^2 + |y|^2 + |T|^2)/4 = tr(rho^2) holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

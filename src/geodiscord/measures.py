@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    AXIS_X,
+    AXIS_Z,
     TOL_IMAG,
-    BlochForm,
     DensityMatrix4,
     MeasurementAxis,
     bloch_decompose,
@@ -200,7 +201,7 @@ def gd_x(p: XStateParams) -> MeasureResult:
     a03, a12, _, h, s2 = _x_invariants(p)
     value = h + 2.0 * (a12 * a12 + a03 * a03) - max(h, s2)
     value, clamped = _finalize(value)
-    axis = _AXIS_Z if h >= s2 else _AXIS_X
+    axis = AXIS_Z if h >= s2 else AXIS_X
     return MeasureResult(value, Method.ANALYTIC_X, (axis, None), clamped)
 
 
@@ -213,7 +214,7 @@ def ggqd_x(p: XStateParams) -> MeasureResult:
     a03, a12, q, _, s2 = _x_invariants(p)
     value = q + 2.0 * (a12 * a12 + a03 * a03) - max(q, s2)
     value, clamped = _finalize(value)
-    axes = (_AXIS_Z, _AXIS_Z) if q >= s2 else (_AXIS_X, _AXIS_X)
+    axes = (AXIS_Z, AXIS_Z) if q >= s2 else (AXIS_X, AXIS_X)
     return MeasureResult(value, Method.ANALYTIC_X, axes, clamped)
 
 
@@ -253,61 +254,12 @@ def gap_x(p: XStateParams) -> float:
     return 0.0
 
 
-def sym3_eigmax(mat: np.ndarray, deg_tol: float = 1e-9) -> float:
-    """Largest eigenvalue of a symmetric 3x3 matrix.
-
-    Uses the trigonometric solution of the characteristic cubic; near a
-    degenerate spectrum (cubic discriminant within deg_tol of zero) it falls
-    back to a dense eigensolve, since the arccos sensitivity there costs a
-    few digits (observed errors around 5e-12 just outside the window).
-    """
-    a = np.asarray(mat, dtype=float)
-    q = a.trace() / 3.0
-    b = a - q * np.eye(3)
-    p2 = (b * b).sum() / 6.0
-    if p2 == 0.0:
-        return float(q)
-    p = np.sqrt(p2)
-    r = np.linalg.det(b) / (2.0 * p2 * p)
-    if 1.0 - r * r < deg_tol:
-        return float(np.linalg.eigvalsh(a)[-1])
-    phi = np.arccos(r) / 3.0
-    return float(q + 2.0 * p * np.cos(phi))
-
-
-def sym3_eigmax_batch(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalues of a (..., 3, 3) stack of symmetric matrices.
-
-    Same trigonometric formula as :func:`sym3_eigmax`; the arccos argument is
-    clipped, which keeps the largest eigenvalue accurate to O(eps * scale)
-    even at degenerate spectra.
-    """
-    a = np.asarray(mats, dtype=float)
-    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
-    b = a - q[..., None, None] * np.eye(3)
-    p2 = (b * b).sum(axis=(-2, -1)) / 6.0
-    p = np.sqrt(p2)
-    det = (
-        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-        - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-        + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(p2 > 0.0, det / (2.0 * p2 * p), 1.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    return q + 2.0 * p * np.cos(phi)
-
-
-_AXIS_X = MeasurementAxis(np.array([1.0, 0.0, 0.0]))
-_AXIS_Z = MeasurementAxis(np.array([0.0, 0.0, 1.0]))
-
-
 def _canonical_axis(v: np.ndarray) -> MeasurementAxis:
     """Unit axis with a deterministic overall sign."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n == 0.0:
-        return _AXIS_Z
+        return AXIS_Z
     v = v / n
     lead = np.flatnonzero(np.abs(v) > 1e-14)
     if lead.size and v[lead[0]] < 0.0:
@@ -324,11 +276,9 @@ def gd_dakic(state: DensityMatrix4) -> MeasureResult:
     """
     bloch = bloch_decompose(state)
     x, t = bloch.x, bloch.T
-    k = np.outer(x, x) + t @ t.T
-    kmax = sym3_eigmax(k)
-    value = (x @ x + (t * t).sum() - kmax) / 4.0
+    vals, vecs = np.linalg.eigh(np.outer(x, x) + t @ t.T)
+    value = (x @ x + (t * t).sum() - vals[-1]) / 4.0
     value, clamped = _finalize(value)
-    _, vecs = np.linalg.eigh(k)
     return MeasureResult(value, Method.DAKIC, (_canonical_axis(vecs[:, -1]), None), clamped)
 
 
@@ -510,8 +460,10 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     )
 
 
+# The origin and six points whose values fix an even quadratic in v.
 _EXTRACT_POINTS = np.array(
     [
+        [0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
@@ -551,11 +503,11 @@ def _quadratic_matrices(g: np.ndarray) -> np.ndarray:
 
 
 def _block_row(v: np.ndarray) -> np.ndarray:
-    """The 2x4 block (1/sqrt2) [[1, v], [1, -v]]."""
-    out = np.empty((2, 4))
-    out[0, 0] = out[1, 0] = 1.0
-    out[0, 1:] = v
-    out[1, 1:] = -v
+    """(..., 3) -> (..., 2, 4): the blocks (1/sqrt2) [[1, v], [1, -v]]."""
+    out = np.empty(v.shape[:-1] + (2, 4))
+    out[..., 0] = 1.0
+    out[..., 0, 1:] = v
+    out[..., 1, 1:] = -v
     return out / np.sqrt(2.0)
 
 
@@ -565,48 +517,41 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     Evaluates tr(C C^t) - max_{a,b} tr(A C B^t B C^t A^t) with
     C = (1/2) [[1, y^t], [x, T]] and A, B the 2x4 blocks
     (1/sqrt2) [[1, a], [1, -a]] built from unit vectors a and b.  The trace
-    objective is an exact biquadratic polynomial in (a, b),
+    objective is even in a and in b and quadratic in each, so with
+    m(v) = [1, v1^2, v2^2, v3^2, v1 v2, v1 v3, v2 v3] it is exactly
+    m(a)^t W m(b) for a 7x7 coefficient matrix W, that is
 
         c0 + a^t qa a + b^t qb b + a^t G(b) a,   a^t G(b) a = b^t G'(a) b,
 
-    whose coefficients are recovered from a fixed set of literal
-    evaluations.  For fixed b the best a is the top eigenvector of
-    qa + G(b), and for fixed a the best b is the top eigenvector of
-    qb + G'(a); each step maximizes over one axis with the other held, so
-    alternating the two never decreases the objective.  The starts are the
-    12 points of a 512-point Fibonacci lattice where the objective maximized
-    over a (c0 + b^t qb b + lam_max(qa + G(b))) is largest, and the 12 where
-    it is largest maximized over b, carried to b by one b-step.  The
-    extrapolation along each sweep's step, the stopping rule and the guard
-    are those of :func:`ggqd_general`, on this objective's
-    scale: OptimizerDidNotConverge when the best three starts differ by more
-    than 1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
+    with c0 = W[0, 0], qa read off W[1:, 0], qb off W[0, 1:] and G off
+    W[1:, 1:].  W is solved from one 7x7 table of literal evaluations at
+    every pair of the origin, the three unit axes and their three pairwise
+    sums, on both sides against the basis m at those points.  For fixed b
+    the best a is the top eigenvector of qa + G(b), and for fixed a the best
+    b is the top eigenvector of qb + G'(a); each step maximizes over one axis
+    with the other held, so alternating the two never decreases the
+    objective.  The starts are the 12 points of a 512-point Fibonacci
+    lattice where the objective maximized over a
+    (c0 + b^t qb b + lam_max(qa + G(b))) is largest, and the 12 where it is
+    largest maximized over b, carried to b by one b-step.  The extrapolation
+    along each sweep's step, the stopping rule and the guard are those of
+    :func:`ggqd_general`, on this objective's scale:
+    OptimizerDidNotConverge when the best three starts differ by more than
+    1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
     coefficient matrix C, so it serves as an independent check of that route.
     """
     c = bloch_decompose(state).coefficient_matrix()
     trcc = float((c * c).sum())
 
-    def literal(a_vec, b_vec):
-        m = _block_row(a_vec) @ c @ _block_row(b_vec).T
-        return float((m * m).sum())
-
-    zero = np.zeros(3)
-    c0 = literal(zero, zero)
-    qa = _quadratic_form(lambda v: literal(v, zero) - c0)
-    qb = _quadratic_form(lambda v: literal(zero, v) - c0)
-
     pts = _EXTRACT_POINTS
-    mono = _monomials(pts)
-    hq = np.empty((6, 6))
-    for m in range(6):
-        for n in range(6):
-            hq[m, n] = (
-                literal(pts[m], pts[n])
-                - c0
-                - pts[m] @ qa @ pts[m]
-                - pts[n] @ qb @ pts[n]
-            )
-    ghat = np.linalg.solve(mono, np.linalg.solve(mono, hq).T).T
+    blocks = _block_row(pts)
+    # the literal products A C B^t for every pair (a, b) of points
+    prods = blocks[:, None] @ c @ np.swapaxes(blocks, -1, -2)
+    table = (prods * prods).sum(axis=(-2, -1))
+    basis = np.column_stack([np.ones(len(pts)), _monomials(pts)])
+    coef = np.linalg.solve(basis, np.linalg.solve(basis, table).T).T
+    c0, ghat = coef[0, 0], coef[1:, 1:]
+    qa, qb = _quadratic_matrices(coef[1:, 0]), _quadratic_matrices(coef[0, 1:])
 
     def a_matrix(b):
         return qa + _quadratic_matrices(_monomials(b) @ ghat.T)
@@ -616,11 +561,11 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
 
     def objective(b):
         quad_b = np.einsum("...i,ij,...j->...", b, qb, b)
-        return c0 + quad_b + sym3_eigmax_batch(a_matrix(b))
+        return c0 + quad_b + np.linalg.eigvalsh(a_matrix(b))[..., -1]
 
     def objective_a(a):
         quad_a = np.einsum("...i,ij,...j->...", a, qa, a)
-        return c0 + quad_a + sym3_eigmax_batch(b_matrix(a))
+        return c0 + quad_a + np.linalg.eigvalsh(b_matrix(a))[..., -1]
 
     b, inner = _eigen_ascent(
         _lattice_seeds(objective), _lattice_seeds(objective_a), a_matrix, b_matrix, objective
@@ -630,14 +575,3 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     return MeasureResult(
         value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )
-
-
-def _quadratic_form(f) -> np.ndarray:
-    """Recover the symmetric 3x3 matrix of an even quadratic v -> f(v)."""
-    q = np.empty((3, 3))
-    e = np.eye(3)
-    for i in range(3):
-        q[i, i] = f(e[i])
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        q[i, j] = q[j, i] = (f(e[i] + e[j]) - q[i, i] - q[j, j]) / 2.0
-    return q

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geodiscord import XStateParams, maximally_mixed, random_density, x_state
+from geodiscord import XStateParams, maximally_mixed, measures, random_density, x_state
 from geodiscord.cli import (
     EXIT_OK,
     EXIT_UNWRITABLE,
@@ -144,6 +144,16 @@ class TestCompute:
         path = write(tmp_path, "h.dm4", "\n".join(rows) + "\n")
         assert main(["compute", path]) == EXIT_VALIDATION
 
+    def test_unconverged_optimizer_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(30)
+        path = write(tmp_path, "g.dm4", format_dm4(random_density(rng)))
+        code = main(["compute", path, "--method", "numeric"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY_FAILED
+        assert "gd = " in captured.out
+        assert captured.err.startswith("error: best starts disagree")
+
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file.x"]) == EXIT_USAGE
 
@@ -251,6 +261,15 @@ class TestVerify:
         assert report_path.read_text() == out
         assert code == EXIT_VERIFY_FAILED
         assert "check c, trial" in out
+
+    def test_unconverged_optimizer_is_a_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
+        code = main(["verify", "--trials", "1", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
+        assert "two-sided optimizer, trial 0: best starts disagree" in out
+        assert "held on 0/1 general states" in out
+        assert out.endswith("FAILED\n")
 
     def test_bad_trials_flag(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE

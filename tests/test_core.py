@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from geodiscord import (
     AXIS_X,
     AXIS_Z,
+    ImaginaryResidue,
     MeasurementAxis,
     NonFinite,
     NotHermitian,
@@ -126,6 +127,16 @@ class TestBloch:
         assert b.T[2, 2] == pytest.approx(d[0] - d[1] - d[2] + d[3])
         off = b.T - np.diag(np.diag(b.T))
         assert_allclose(off, 0.0, atol=1e-15)
+
+    def test_imaginary_residue_rejected(self):
+        # Hermitian to 0.9e-12, so validation passes, but the imaginary
+        # parts add up in tr(rho (sigma_x x I)) to 1.8e-12 > TOL_IMAG
+        m = np.eye(4, dtype=complex) / 4
+        for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+            m[i, j] = 0.45e-12j
+        state = validate_density(m)
+        with pytest.raises(ImaginaryResidue):
+            bloch_decompose(state)
 
     def test_reconstruct_rejects_unphysical(self):
         t = np.diag([1.0, 1.0, 1.0])  # not a valid correlation matrix alone

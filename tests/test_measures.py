@@ -26,12 +26,10 @@ from geodiscord import (
     purity,
     random_density,
     random_x_params,
-    sym3_eigmax,
     validate_density,
     x_state,
 )
 from geodiscord import measures
-from geodiscord.measures import sym3_eigmax_batch
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
@@ -142,30 +140,6 @@ class TestCases:
     def test_ordering_fields(self):
         c = classify_x_case(example2(0.55))
         assert c.mid >= c.rhs  # always: mid - rhs is a square
-
-
-class TestEigmax:
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            g = rng.normal(size=(3, 3))
-            m = (g + g.T) / 2
-            assert sym3_eigmax(m) == pytest.approx(
-                float(np.linalg.eigvalsh(m)[-1]), abs=1e-12
-            )
-
-    def test_near_degenerate(self):
-        for eps in (1e-4, 1e-6, 1e-10, 1e-14, 0.0):
-            m = np.diag([1.0, 1.0 - eps, 0.5])
-            assert sym3_eigmax(m) == pytest.approx(1.0, abs=1e-11)
-
-    def test_batch_agrees_with_scalar(self):
-        rng = np.random.default_rng(24)
-        g = rng.normal(size=(200, 3, 3))
-        mats = (g + np.transpose(g, (0, 2, 1))) / 2
-        vals = sym3_eigmax_batch(mats)
-        for i in range(200):
-            assert vals[i] == pytest.approx(sym3_eigmax(mats[i]), abs=1e-11)
 
 
 class TestDakic:
