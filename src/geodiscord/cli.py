@@ -194,6 +194,9 @@ def cmd_compute(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.state_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.state_file}: not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         parsed = parse_state_text(text)
@@ -349,10 +352,21 @@ def cmd_verify(config: RunConfig) -> int:
 
     X-state trials compare the closed forms against the brute-force search
     and the case-gap algebra; general-state trials compare the greedy
-    two-step search against the joint one and report (without asserting)
-    how the one-sided and two-sided measures order themselves off the X
-    family.  A general-state trial whose two-sided optimizer raises
-    OptimizerDidNotConverge is recorded as a failure and skipped.
+    two-step search against the joint one (check c) and assert GGQD >= GD
+    off the X family (check e).  A general-state trial whose two-sided
+    optimizer raises OptimizerDidNotConverge is recorded as a failure and
+    skipped.
+
+    Check e holds for every two-qubit state.  With Bloch data x, y, T,
+    product dephasing along unit axes (a, b) keeps purity
+    (1 + f(a, b))/4 with f = (a.x)^2 + (b.y)^2 + (a^T T b)^2, and side-A
+    dephasing keeps (1 + (a.x)^2 + |y|^2 + |T^T a|^2)/4.  Since
+    (b.y)^2 <= |y|^2 and (a^T T b)^2 <= |T^T a|^2,
+
+        max_ab f <= |y|^2 + max_a [(a.x)^2 + |T^T a|^2],
+
+    so the two-sided search keeps no more purity than the one-sided one and
+    GGQD - GD >= 0.  A margin below -1e-10 is a failure.
     """
     rng = np.random.default_rng(config.seed)
     failures: list[str] = []
@@ -424,7 +438,9 @@ def cmd_verify(config: RunConfig) -> int:
             failures.append(f"two-sided optimizer, trial {i}: {exc} (general state)")
             continue
         min_general_margin = min(min_general_margin, margin)
-        if margin >= -1e-10:
+        if margin < -1e-10:
+            failures.append(f"check e, trial {i}: ggqd - gd = {margin!r} (general state)")
+        else:
             ordered += 1
 
     lines.append(
@@ -432,8 +448,8 @@ def cmd_verify(config: RunConfig) -> int:
         f"states): worst deviation {worst_tqc!r}"
     )
     lines.append(
-        f"observational: two-sided >= one-sided held on {ordered}/{config.trials} "
-        f"general states, smallest difference {min_general_margin!r} (not asserted)"
+        f"check e (two-sided >= one-sided, {config.trials} general states): "
+        f"held on {ordered}/{config.trials}, smallest margin {min_general_margin!r}"
     )
 
     lines.extend(failures)

@@ -36,6 +36,7 @@ a cross-check of :func:`ggqd_general`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,8 @@ class XStateParams:
         total = d[0] + d[1] + d[2] + d[3]
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"populations must sum to 1, got {total!r}")
-        b03 = np.sqrt(max(d[0], 0.0) * max(d[3], 0.0))
-        b12 = np.sqrt(max(d[1], 0.0) * max(d[2], 0.0))
+        b03 = math.sqrt(max(d[0], 0.0) * max(d[3], 0.0))
+        b12 = math.sqrt(max(d[1], 0.0) * max(d[2], 0.0))
         if abs(a03) > b03 + 1e-12:
             raise ValueError(f"|a03| = {abs(a03)!r} exceeds sqrt(d0 d3) = {b03!r}")
         if abs(a12) > b12 + 1e-12:

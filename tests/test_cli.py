@@ -157,6 +157,15 @@ class TestCompute:
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file.x"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["analytic", "numeric", "brute"])
+    def test_non_utf8_file(self, tmp_path, capsys, method):
+        path = tmp_path / "bytes.x"
+        path.write_bytes(b"\xff\xfe\n")
+        assert main(["compute", str(path), "--method", method]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
     def test_module_entry_point(self, tmp_path):
         path = write(tmp_path, "bell.x", BELL_X)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -257,7 +266,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "check a" in out and "check b" in out
         assert "check c" in out and "check d" in out
-        assert "observational" in out
+        assert "check e (two-sided >= one-sided, 2 general states): held on 2/2" in out
+        assert "check e, trial" not in out
         assert report_path.read_text() == out
         assert code == EXIT_VERIFY_FAILED
         assert "check c, trial" in out
@@ -268,7 +278,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY_FAILED
         assert "two-sided optimizer, trial 0: best starts disagree" in out
-        assert "held on 0/1 general states" in out
+        assert "check e (two-sided >= one-sided, 1 general states): held on 0/1" in out
         assert out.endswith("FAILED\n")
 
     def test_bad_trials_flag(self, capsys):

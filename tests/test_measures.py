@@ -51,6 +51,14 @@ class TestXStateParams:
         with pytest.raises(ValueError):
             XStateParams(0.25, 0.25, 0.25, 0.25, 0.3, 0.0)
 
+    def test_corner_bound_prints_as_plain_float(self):
+        with pytest.raises(ValueError) as a03:
+            XStateParams(0.25, 0.25, 0.25, 0.25, 0.3, 0.0)
+        assert str(a03.value) == "|a03| = 0.3 exceeds sqrt(d0 d3) = 0.25"
+        with pytest.raises(ValueError) as a12:
+            XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.3)
+        assert str(a12.value) == "|a12| = 0.3 exceeds sqrt(d1 d2) = 0.25"
+
     def test_boundary_corner_allowed(self):
         p = XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.25)
         assert p.a03 == 0.25

@@ -24,10 +24,40 @@ from geodiscord import (
     validate_density,
     x_state,
 )
-from geodiscord.oracle import _one_sided_values, _scan_angles, _two_sided_max
+from geodiscord import oracle
+from geodiscord.oracle import (
+    _conditional_a,
+    _kets,
+    _one_sided_values,
+    _scan_angles,
+    _two_sided_max,
+)
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 COARSE = GridSpec(n_theta=16, n_phi=32, refine_iters=2)
+COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
+
+
+def _werner(weight):
+    bell = x_state(BELL).matrix
+    return validate_density(weight * bell + (1.0 - weight) * np.eye(4) / 4)
+
+
+def _unfused_objective(rho4, th, ph):
+    """The full (n_a, n_b) dephased purity, built without the fused column:
+    eight-column product, then the -t/2 shift, then 2 sum p^2 + sum t^2 / 2."""
+    sig = _conditional_a(rho4, th, ph)
+    t = np.einsum("akmm->ak", sig).real
+    flat = sig.reshape(2 * th.size, 4)
+    s8 = np.concatenate([flat.real, flat.imag], axis=1)
+    v = _kets(th, ph)[:, 0, :]
+    q = np.einsum("bm,bn->bnm", v, v.conj()).reshape(ph.size, 4)
+    w8 = np.concatenate([q.real, -q.imag], axis=1)
+    p = (s8 @ w8.T).reshape(th.size, 2, ph.size)
+    p -= 0.5 * t[:, :, None]
+    obj = 2.0 * np.einsum("akb,akb->ab", p, p)
+    obj += 0.5 * (t * t).sum(axis=1)[:, None]
+    return obj
 
 
 class TestGridSpec:
@@ -94,6 +124,49 @@ class TestObjectiveIdentity:
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
                 assert vals[0] == pytest.approx(literal, abs=1e-12)
+
+
+class TestTwoSidedScan:
+    def test_block_size_does_not_change_the_answer(self, monkeypatch):
+        # one block of all 257 rows is a single flat argmax, i.e. the first
+        # maximal pair in enumeration order; I/4, Bell and Werner have exact
+        # ties (won by (6, 0), (15, 19) and (1, 1), |00> peaks at (0, 0)),
+        # which must resolve the same way whatever the block boundaries
+        rng = np.random.default_rng(48)
+        states = [
+            maximally_mixed(),
+            validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+            x_state(BELL),
+            _werner(0.6),
+        ]
+        states += [
+            x_state(normalize_x_phases(random_x_params(rng)).normalized)
+            for _ in range(2)
+        ]
+        states += [random_density(rng) for _ in range(2)]
+        for state in states:
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            answers = set()
+            for chunk in (1, 7, 16, COARSE_TH.size):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                answers.add(
+                    _two_sided_max(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
+                )
+            assert len(answers) == 1, answers
+
+    def test_fused_scan_matches_unfused_objective(self):
+        rng = np.random.default_rng(49)
+        states = [x_state(BELL), _werner(0.6)]
+        states += [random_density(rng) for _ in range(10)]
+        for state in states:
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            val, ia, ib = _two_sided_max(
+                rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH
+            )
+            ref = _unfused_objective(rho4, COARSE_TH, COARSE_PH)
+            top = ref.max()
+            assert abs(val - top) <= 1e-15
+            assert abs(ref[ia, ib] - top) <= 1e-15
 
 
 class TestBruteForce:
