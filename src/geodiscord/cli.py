@@ -334,6 +334,8 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.tolerance > 0.0:

@@ -14,12 +14,18 @@ scan evaluates (the equality against a literal apply_measurement round trip
 is asserted in the test suite).
 
 The two-sided scan covers every pair of the base grid, 4 097 x 4 097 axes
-at the reference settings.  One real matrix product per block of 16 side-A
-axes gives all outcome probabilities against every side-B axis; a ninth
-column subtracts half the side-A outcome trace inside that product, so the
-purity is a square, a sum and a per-row constant away.  At 16 rows a
-block's products take about 1 MB and stay in cache; 512-row blocks (34 MB)
-run from memory at under half the speed.
+at the reference settings, at one output of one real matrix product per
+pair.  With sigma_k the side-A conditional blocks, t_k = tr sigma_k and
+sigma~_k = sigma_k - (t_k/2) I their traceless parts, a side-B ket v gives
+
+    sum_k (p_k+ - t_k/2)^2 = <v v| sum_k sigma~_k (x) sigma~_k |v v>,
+
+and v (x) v lies in the three-dimensional symmetric subspace.  So the
+pair's purity, 2 sum_k (p_k+ - t_k/2)^2 + sum_k t_k^2 / 2, is a ten-term
+real dot product: nine numbers from side A (twice the Hermitian 3x3
+compression of sum_k sigma~_k (x) sigma~_k to that subspace), nine from
+side B (|w><w| with w = v (x) v in that basis), and a constant column that
+carries sum_k t_k^2 / 2.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -27,7 +33,10 @@ spacing 2 pi / n_phi.  Poles enter once (a single axis each).  An axis and
 its negation define the same measurement, so for even ``n_phi`` the scan
 enumerates only polar levels up to the equator; every dropped axis has its
 antipode on the grid.  Ties always resolve to the first grid point in
-enumeration order, which keeps results deterministic.
+enumeration order, which keeps results deterministic.  The two-sided
+scan compares pairs by their dot products summed in one fixed order, so
+the rounding of the matrix-product kernel cannot move a tie
+(``_two_sided_max``).
 """
 
 from __future__ import annotations
@@ -39,11 +48,28 @@ import numpy as np
 from .core import DensityMatrix4, MeasurementAxis, apply_measurement, purity
 from .measures import MeasureResult, Method, _finalize
 
-# a-axis rows per block in the two-sided scan: a block's products,
-# 2 x 16 x 4 097 doubles at the reference grid, are about 1 MB and stay in
-# cache; 512-row blocks (34 MB) run from memory at under half the speed
+# a-axis rows per block in the two-sided scan: a block's products, one
+# row per a-axis, 16 x 4 097 doubles at the reference grid, are 512 KB and
+# stay in cache.  Base scan on Ginibre states, one thread: 23 ms at 16
+# rows, 25 ms at 8, 29 ms at 32, 35 ms at 64, 78 ms in one block
 _CHUNK = 16
 _LOCAL_POINTS = 11  # per-angle resolution of refinement windows
+# contraction order of the conditional blocks: each ket's outer product
+# first, then rho; the path optimize=True picks for two or more axes,
+# without searching for it on every call
+_COND_PATH = ["einsum_path", (0, 2), (0, 1)]
+# the symmetric subspace of two qubits as columns over |00>, |01>, |10>,
+# |11>: |00>, (|01> + |10>)/sqrt(2), |11>
+_SYM = np.array(
+    [[1.0, 0.0, 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, 0.0, 1.0]]
+)
+_SYM2 = np.kron(_SYM, _SYM)  # flattened 4x4 -> flattened compression S^T M S
+_UPPER = np.triu_indices(3, 1)
+# a product entry and its re-score each lie within gamma_10 < 10.1 u
+# (u = 2^-53) times the row's absolute sum of the exact ten-term dot
+# product, since no column entry exceeds 1; so the two differ by at most
+# 22 u times that sum
+_ROUNDING = 22 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -124,13 +150,13 @@ def _kets(theta, phi):
 def _conditional_a(rho4, theta, phi):
     """sigma_k(a) = <u_k| rho |u_k> over side A: (Na, 2, 2, 2) complex."""
     u = _kets(theta, phi)
-    return np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=True)
+    return np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=_COND_PATH)
 
 
 def _conditional_b(rho4, theta, phi):
     """tau_l(b) = <v_l| rho |v_l> over side B: (Nb, 2, 2, 2) complex."""
     v = _kets(theta, phi)
-    return np.einsum("bkm,imjn,bkn->bkij", v.conj(), rho4, v, optimize=True)
+    return np.einsum("bkm,imjn,bkn->bkij", v.conj(), rho4, v, optimize=_COND_PATH)
 
 
 def _one_sided_values(rho4, theta, phi, side: str):
@@ -139,54 +165,108 @@ def _one_sided_values(rho4, theta, phi, side: str):
     return (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
 
 
+def _trace_form(h, const):
+    """(N, 10) real: the diagonal, the real and the imaginary upper triangle
+    of a Hermitian 3x3 stack, then a constant.  For Hermitian H and W,
+    tr(H W) = sum_i H_ii W_ii + 2 sum_{i<j} (Re H_ij Re W_ij + Im H_ij Im W_ij)."""
+    upper = h[:, _UPPER[0], _UPPER[1]]
+    diag = np.einsum("nii->ni", h).real
+    return np.concatenate([diag, upper.real, upper.imag, const[:, None]], axis=1)
+
+
+def _two_copy_rows(rho4, theta, phi):
+    """Side-A coefficients of the two-sided purity: (Na, 10) real.
+
+    Row a holds H = S^T (sum_k sigma~_k (x) sigma~_k) S in trace form, its
+    off-diagonal entries doubled because tr(H W) counts them twice, then
+    sum_k t_k^2 / 4, all times 2: a row times a column of _two_copy_cols is
+    2 <w|H|w> + sum_k t_k^2 / 2, the pair's purity.  sigma~_k is the
+    Hermitian part of sigma_k less (t_k/2) I.  The contraction leaves
+    sigma_k Hermitian only up to rounding; with that residue dropped, a row
+    whose blocks are multiples of I (every row of I/4) has nine exact zeros.
+    """
+    sig = _conditional_a(rho4, theta, phi)
+    t = np.einsum("akmm->ak", sig).real
+    sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
+    sig -= 0.5 * t[..., None, None] * np.eye(2)
+    n = theta.size
+    m = np.einsum("akmn,akpq->ampnq", sig, sig).reshape(n, 16)
+    rows = _trace_form((m @ _SYM2).reshape(n, 3, 3), 0.25 * (t * t).sum(axis=1))
+    rows[:, 3:9] *= 2.0
+    rows *= 2.0
+    return rows
+
+
+def _two_copy_cols(theta, phi):
+    """Side-B coefficients of the two-sided purity: (10, Nb) real, the
+    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1."""
+    v = _kets(theta, phi)[:, 0, :]
+    w = np.einsum("bm,bn->bmn", v, v).reshape(theta.size, 4) @ _SYM
+    ww = np.einsum("bi,bj->bij", w, w.conj())
+    return np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
+
+
+def _rescore(rows, cols):
+    """Paired dot products summed in one fixed order, element by element:
+    the same bits for a pair whatever else is scored with it."""
+    out = rows[:, 0] * cols[0]
+    for i in range(1, rows.shape[1]):
+        out += rows[:, i] * cols[i]
+    return out
+
+
 def _two_sided_max(rho4, th_a, ph_a, th_b, ph_b):
     """Max of tr(Pi(rho)^2) over the (a, b) product grid.
 
-    Returns (value, index_a, index_b).  Probabilities for all pairs are one
-    real matrix product: p_kl = tr(Q_l sigma_k) with sigma_k the side-A
-    conditional blocks and Q_l the side-B projectors.  With t_k = tr sigma_k
-    the two side-B outcomes give p_k+ and t_k - p_k+, so the pair's purity
-    is sum_k 2 (p_k+ - t_k/2)^2 + t_k^2/2.  A ninth column carries the shift:
-    each sigma row ends in -t_k/2 and each projector row in 1, so the
-    product yields p_k+ - t_k/2 directly.
+    Returns (value, index_a, index_b).  The purity of every pair is one
+    entry of rows @ cols, the two-copy form of the module docstring.
 
-    The a-rows go through in blocks of _CHUNK = 16, so a block's products
-    (about 1 MB at the reference grid) stay in cache while they are squared
-    in place, summed over the outcome rows and searched.  A flat argmax per
-    block and a strict comparison across blocks keep ties on the first grid
-    pair in enumeration order, whatever the block size.
+    The first pass takes each a-row's largest product.  The a-rows go
+    through in blocks of _CHUNK = 16, so a block's products (512 KB at the
+    reference grid) stay in cache while their row maxima are taken.
+
+    BLAS rounds a one-row block differently from a many-row one, so the
+    products alone could settle an exact tie (I/4, Bell, Werner) on
+    different pairs at different block sizes.  Instead, a pair's product
+    and its re-score (_rescore, one fixed summation order) differ by at
+    most its row's slack, so the best re-score is at least
+    bar = max(top - slack), and only the pairs whose products lie within
+    slack of bar can reach it.  The second pass recomputes the products of
+    those rows, re-scores those pairs, and returns the first maximal one in
+    enumeration order: the same pair at any block size.  A row whose nine
+    non-constant coefficients are zero equals its constant at every b,
+    exactly, so it needs no re-score and its first pair stands for it.
     """
-    sig = _conditional_a(rho4, th_a, ph_a)
-    n_a = th_a.size
-    traces = np.einsum("akmm->ak", sig).real
-    flat = sig.reshape(2 * n_a, 4)
-    s9 = np.concatenate(
-        [flat.real, flat.imag, -0.5 * traces.reshape(2 * n_a, 1)], axis=1
-    )
-    row_const = 0.5 * (traces * traces).sum(axis=1)
-
-    v = _kets(th_b, ph_b)[:, 0, :]  # outcome + ket per b axis
-    q_plus = np.einsum("bm,bn->bnm", v, v.conj())  # transposed projector
-    n_b = th_b.size
-    q = q_plus.reshape(n_b, 4)
-    w9t = np.vstack([q.real.T, -q.imag.T, np.ones(n_b)])  # (9, n_b), contiguous
-
-    best_val = -np.inf
-    best_ia = best_ib = 0
+    rows = _two_copy_rows(rho4, th_a, ph_a)
+    cols = _two_copy_cols(th_b, ph_b)
+    n_a, n_b = rows.shape[0], cols.shape[1]
+    exact = ~rows[:, :-1].any(axis=1)
+    slack = np.where(exact, 0.0, _ROUNDING * np.abs(rows).sum(axis=1))
+    buf = np.empty((min(_CHUNK, n_a), n_b))
+    top = np.empty(n_a)
     for start in range(0, n_a, _CHUNK):
         end = min(start + _CHUNK, n_a)
-        p = s9[2 * start : 2 * end] @ w9t
-        p *= p
-        p = p.reshape(end - start, 2, n_b)
-        obj = p[:, 0] + p[:, 1]
-        obj *= 2.0
-        obj += row_const[start:end, None]
-        k = int(np.argmax(obj))
-        ia, ib = divmod(k, n_b)
-        val = float(obj[ia, ib])
-        if val > best_val:
-            best_val, best_ia, best_ib = val, start + ia, ib
-    return best_val, best_ia, best_ib
+        p = np.matmul(rows[start:end], cols, out=buf[: end - start])
+        p.max(axis=1, out=top[start:end])
+
+    bar = float((top - slack).max())
+    live = top >= bar - slack
+    ia = [np.flatnonzero(live & exact)]
+    ib = [np.zeros(ia[0].size, dtype=np.intp)]
+    loose = np.flatnonzero(live & ~exact)
+    for start in range(0, loose.size, _CHUNK):
+        sel = loose[start : start + _CHUNK]
+        p = np.matmul(rows[sel], cols, out=buf[: sel.size])
+        r, b = np.divmod(np.flatnonzero(p >= (bar - slack[sel])[:, None]), n_b)
+        ia.append(sel[r])
+        ib.append(b)
+    n_exact = ia[0].size
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    vals = np.concatenate(
+        [top[ia[:n_exact]], _rescore(rows[ia[n_exact:]], cols[:, ib[n_exact:]])]
+    )
+    k = np.lexsort((ib, ia, -vals))[0]
+    return float(vals[k]), int(ia[k]), int(ib[k])
 
 
 def _search_one_sided(rho4, grid: GridSpec, side: str):

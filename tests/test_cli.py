@@ -1,5 +1,7 @@
 """File formats, command dispatch, exit codes, and output determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,8 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from geodiscord import XStateParams, maximally_mixed, measures, random_density, x_state
+from geodiscord import (
+    XStateParams,
+    maximally_mixed,
+    measures,
+    random_density,
+    random_x_params,
+    x_state,
+)
 from geodiscord.cli import (
     EXIT_OK,
     EXIT_UNWRITABLE,
@@ -178,6 +189,68 @@ class TestCompute:
         assert "ggqd = 0.5" in done.stdout
 
 
+_BAD_TOKENS = ("nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "0x10", "1,5", "--1", "j")
+
+
+@st.composite
+def _state_file_bytes(draw):
+    """DM4 or X text from a valid state, its trace moved near the tolerance,
+    then damaged: bad tokens, lines or tokens dropped and repeated, blank
+    lines, and bytes that are not UTF-8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 1.0 + draw(st.sampled_from((0.0, 4e-13, 1e-12, 1.5e-12, -3e-12, 1e-9)))
+    if draw(st.booleans()):
+        entries = random_density(rng).matrix.ravel() * scale
+        lines = [["DM4"]] + [[repr(float(v.real)), repr(float(v.imag))] for v in entries]
+    else:
+        p = random_x_params(rng)
+        lines = [
+            ["X"],
+            [repr(d * scale) for d in (p.d0, p.d1, p.d2, p.d3)],
+            [repr(v) for v in (p.a03.real, p.a03.imag, p.a12.real, p.a12.imag)],
+        ]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("token", "drop_line", "dup_line", "drop_token",
+                                     "add_token", "blank")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "token" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        elif kind == "drop_line" and len(lines) > 1:
+            del lines[i]
+        elif kind == "dup_line":
+            lines.insert(i, list(lines[i]))
+        elif kind == "drop_token" and lines[i]:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif kind == "add_token":
+            lines[i].append(draw(st.sampled_from(_BAD_TOKENS + ("0.0", "0.25"))))
+        elif kind == "blank":
+            lines.insert(i, [])
+    data = ("\n".join(" ".join(tokens) for tokens in lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from((b"\xff", b"\xc3\x28", b"\xed\xa0\x80")))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+class TestComputeFuzz:
+    # any file ends in an exit code of the 0-4 contract, never a traceback
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_state_file_bytes())
+    def test_exit_code_contract(self, tmp_path, method, data):
+        path = tmp_path / "state.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["compute", str(path), "--method", method])
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_VALIDATION,
+                        EXIT_UNWRITABLE)
+        assert (code == EXIT_OK) == (err.getvalue() == "")
+        assert "Traceback" not in err.getvalue()
+
+
 class TestSweep:
     def test_csv_shape_and_minimum(self, tmp_path):
         out = tmp_path / "ex3.csv"
@@ -255,6 +328,8 @@ class TestVerify:
         with pytest.raises(ValueError):
             RunConfig(trials=0)
         with pytest.raises(ValueError):
+            RunConfig(seed=-1)
+        with pytest.raises(ValueError):
             RunConfig(tolerance=0.0)
 
     def test_campaign_reports_and_exit(self, tmp_path, capsys):
@@ -283,6 +358,14 @@ class TestVerify:
 
     def test_bad_trials_flag(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
+
+    def test_negative_seed(self, capsys):
+        # numpy's generator rejects negative seeds; the CLI must say so as a
+        # usage error, not end in its traceback
+        assert main(["verify", "--seed", "-1", "--trials", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be nonnegative")
+        assert "Traceback" not in err
 
     def test_unwritable_report(self, capsys):
         code = main(["verify", "--trials", "1", "--out", "/no-such-dir/r.txt"])

@@ -43,6 +43,18 @@ def _werner(weight):
     return validate_density(weight * bell + (1.0 - weight) * np.eye(4) / 4)
 
 
+def _pure(rng):
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _qubit(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def _unfused_objective(rho4, th, ph):
     """The full (n_a, n_b) dephased purity, built without the fused column:
     eight-column product, then the -t/2 shift, then 2 sum p^2 + sum t^2 / 2."""
@@ -128,9 +140,9 @@ class TestObjectiveIdentity:
 
 class TestTwoSidedScan:
     def test_block_size_does_not_change_the_answer(self, monkeypatch):
-        # one block of all 257 rows is a single flat argmax, i.e. the first
-        # maximal pair in enumeration order; I/4, Bell and Werner have exact
-        # ties (won by (6, 0), (15, 19) and (1, 1), |00> peaks at (0, 0)),
+        # a one-row block and a block of all 257 rows go through different
+        # BLAS kernels, which round differently; I/4, Bell and Werner have exact
+        # ties (won by (6, 0), (6, 28) and (144, 146), |00> peaks at (0, 0)),
         # which must resolve the same way whatever the block boundaries
         rng = np.random.default_rng(48)
         states = [
@@ -158,6 +170,20 @@ class TestTwoSidedScan:
         rng = np.random.default_rng(49)
         states = [x_state(BELL), _werner(0.6)]
         states += [random_density(rng) for _ in range(10)]
+        # degenerate landscapes: |00>, Werner states at 0.2 and 1.0 (ties
+        # along a curve), pure, rank-2 and product states, and X states that
+        # keep their complex phases
+        states += [
+            validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+            _werner(0.2),
+            _werner(1.0),
+        ]
+        states += [validate_density(_pure(rng)) for _ in range(3)]
+        states += [
+            validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(3)
+        ]
+        states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(3)]
+        states += [x_state(random_x_params(rng)) for _ in range(3)]
         for state in states:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             val, ia, ib = _two_sided_max(
