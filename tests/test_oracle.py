@@ -1,6 +1,8 @@
 """Brute-force search behavior: exactness of the scanned objective,
 refinement monotonicity, determinism, and the sequential construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,48 @@ class TestTwoSidedScan:
             top = ref.max()
             assert abs(val - top) <= 1e-15
             assert abs(ref[ia, ib] - top) <= 1e-15
+
+    def test_near_maximally_mixed_ties_stay_in_one_block(self, monkeypatch):
+        # off I/4 by 1e-9, a row's coefficients are about 1e-18, far below
+        # its rounding slack, so every pair must be re-scored; the answer
+        # may depend neither on the block size nor on whether a block is
+        # re-scored whole or pair by pair, and memory stays at one block
+        rng = np.random.default_rng(50)
+        near_x = np.eye(4) / 4 + 1e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
+        near_x[0, 3] = near_x[3, 0] = 1e-9
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        states = [
+            _werner(1e-9),
+            validate_density(near_x.astype(complex)),
+            validate_density(u @ (np.eye(4) / 4) @ u.conj().T),
+        ]
+        for state in states:
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            answers = set()
+            for chunk, dense in [(1, 4), (7, 4), (16, 1), (16, 10**9), (COARSE_TH.size, 4)]:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                monkeypatch.setattr(oracle, "_DENSE", dense)
+                answers.add(
+                    _two_sided_max(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
+                )
+            assert len(answers) == 1, answers
+            val, ia, ib = answers.pop()
+            ref = _unfused_objective(rho4, COARSE_TH, COARSE_PH)
+            assert abs(val - ref.max()) <= 1e-15
+            assert abs(ref[ia, ib] - ref.max()) <= 1e-15
+
+        # the reference base scan: 4 097^2 pairs, one block of products is
+        # 512 KB; collecting every pair as a candidate would take gigabytes
+        monkeypatch.undo()
+        th, ph = _scan_angles(GridSpec())
+        rho4 = states[0].matrix.reshape(2, 2, 2, 2)
+        tracemalloc.start()
+        try:
+            _two_sided_max(rho4, th, ph, th, ph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
 
 class TestBruteForce:
