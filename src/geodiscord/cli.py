@@ -266,6 +266,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise StateFileError(f"range must look like start:end:steps, got {text!r}") from None
     if steps < 2:
         raise StateFileError(f"range needs at least 2 steps, got {steps}")
+    if not math.isfinite(end - start):
+        raise StateFileError(f"range ends and their difference must be finite, got {text!r}")
     return np.linspace(start, end, steps)
 
 
@@ -310,6 +312,9 @@ def cmd_sweep(args) -> int:
     except (StateFileError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # a family point that XStateParams rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     rows = ["param,gd,ggqd"]
     rows.extend(f"{r.param!r},{r.gd!r},{r.ggqd!r}" for r in records)

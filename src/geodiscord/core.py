@@ -14,6 +14,7 @@ and the purity identity (1 + |x|^2 + |y|^2 + |T|^2)/4 = tr(rho^2) holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ class DensityMatrix4:
     """A validated 4x4 density matrix.
 
     Construct through :func:`validate_density`; direct construction runs the
-    same checks.  The wrapped array is a read-only copy.
+    same checks.  The wrapped array is a read-only copy, so the state keeps
+    its Bloch form once :func:`bloch_decompose` has computed it.
     """
 
     matrix: np.ndarray
@@ -87,6 +89,11 @@ class DensityMatrix4:
         _check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @functools.cached_property
+    def _bloch(self) -> BlochForm:
+        # kept only when it returns: an ImaginaryResidue raises on every access
+        return _pauli_expectations(self.matrix)
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -224,16 +231,7 @@ class BlochForm:
         return c / 2.0
 
 
-def bloch_decompose(state: DensityMatrix4) -> BlochForm:
-    """Compute the Bloch form of a validated state.
-
-    Raises
-    ------
-    ImaginaryResidue
-        If any Pauli expectation value has |Im| > TOL_IMAG, which signals a
-        corrupted (non-Hermitian) input rather than round-off.
-    """
-    m = state.matrix
+def _pauli_expectations(m: np.ndarray) -> BlochForm:
     x = np.empty(3)
     y = np.empty(3)
     t = np.empty((3, 3))
@@ -254,6 +252,23 @@ def bloch_decompose(state: DensityMatrix4) -> BlochForm:
             f"Pauli expectation has imaginary residue {worst:.3e} > {TOL_IMAG}"
         )
     return BlochForm(x, y, t)
+
+
+def bloch_decompose(state: DensityMatrix4) -> BlochForm:
+    """Compute the Bloch form of a validated state.
+
+    The form is computed on the state's first call and kept on the state,
+    whose matrix is read-only, so later calls on the same state return the
+    same (read-only) BlochForm.  Nothing is shared between states.
+
+    Raises
+    ------
+    ImaginaryResidue
+        If any Pauli expectation value has |Im| > TOL_IMAG, which signals a
+        corrupted (non-Hermitian) input rather than round-off.  Such a state
+        keeps no form and raises on every call.
+    """
+    return state._bloch
 
 
 def reconstruct(bloch: BlochForm) -> DensityMatrix4:

@@ -23,10 +23,11 @@ General states get ``gd`` from the closed Bloch-space form (largest
 eigenvalue of x x^t + T T^t) and ``ggqd`` from an alternating ascent over the
 two measurement axes: the dephased purity is quadratic in the side-A axis for
 a fixed side-B axis and the reverse, so each half-sweep replaces one axis by a
-top eigenvector and never lowers it, and each sweep also tries the side-B
-axis moved on along its own step, keeping the best point.  The starts are the best points of a
-512-point Fibonacci lattice on each side plus a few axes read off the state;
-each sweeps until it stalls, the best three sweep on until they agree, and
+top eigenvector (of a rank-2 matrix, taken in closed form) and never lowers
+it, and each sweep also tries the side-B axis moved on along its own step,
+keeping the best point.  The starts are the best points of a 512-point
+Fibonacci lattice on each side plus a few axes read off the state; each
+sweeps until it stalls, the best three sweep on until they agree, and
 OptimizerDidNotConverge is raised when they still differ by more than 1e-9.
 An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
 a biquadratic form recovered from literal block-matrix products and serves as
@@ -309,14 +310,15 @@ def _top_eigvecs(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(mats)[1][..., -1]
 
 
-def _eigen_ascent(b_seeds, a_seeds, a_matrix, b_matrix, objective):
+def _eigen_ascent(b_seeds, a_seeds, a_step, b_step, objective):
     """Maximize a form that is quadratic in a for fixed b and in b for fixed a.
 
-    a_matrix(b) and b_matrix(a) map (n, 3) stacks of unit vectors to the
-    (n, 3, 3) matrices whose top eigenvectors are the best a for each b and
-    the best b for each a; objective(b) is the form maximized over a in
-    closed form.  Side-A seeds enter through one b-step.  One sweep replaces
-    a, then b, by those eigenvectors, so the form never decreases; it then
+    a_step(b) and b_step(a) map (n, 3) stacks of unit vectors to (n, 3)
+    stacks of the best a for each b and the best b for each a: unit top
+    eigenvectors of the form's matrix in the free axis, of either sign.
+    objective(b) is the form maximized over a in closed form.  Side-A seeds
+    enter through one b-step.  One sweep replaces a, then b, by their steps,
+    so the form never decreases; it then
     moves b on along the sweep's step by the multiples in _EXTRAPOLATION
     and keeps whichever point objective rates highest.  That choice
     includes the plain sweep, so it never lowers the form either, and it
@@ -330,7 +332,7 @@ def _eigen_ascent(b_seeds, a_seeds, a_matrix, b_matrix, objective):
     OptimizerDidNotConverge when the best three starts spread more than
     _SPREAD_TOL.
     """
-    b = np.concatenate([b_seeds, _top_eigvecs(b_matrix(a_seeds))])
+    b = np.concatenate([b_seeds, b_step(a_seeds)])
     value = objective(b)
     active = np.arange(len(b))
     endgame = False
@@ -341,7 +343,7 @@ def _eigen_ascent(b_seeds, a_seeds, a_matrix, b_matrix, objective):
         if endgame and np.ptp(value[active]) <= _AGREE_TOL:
             break
         old = b[active]
-        new = _top_eigvecs(b_matrix(_top_eigvecs(a_matrix(old))))
+        new = b_step(a_step(old))
         # b and -b are one measurement: orient new so new - old is the move
         new *= np.where((new * old).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
         trial = new[:, None, :] + _EXTRAPOLATION[:, None] * (new - old)[:, None, :]
@@ -371,26 +373,52 @@ def _lattice_seeds(objective) -> np.ndarray:
     return _LATTICE[np.argsort(objective(_LATTICE))[-_LATTICE_SEEDS:]]
 
 
+def _twice_lam(p, q, r):
+    """2 lam_max of the Gram matrix [[p, r], [r, q]] of two vectors u, v
+    (p = u.u, q = v.v, r = u.v), which is also 2 lam_max of u u^t + v v^t."""
+    return p + q + np.sqrt((p - q) ** 2 + 4.0 * r * r)
+
+
 def _twice_f(b: np.ndarray, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """2 max_a f(a, b) over unit a, for an (n, 3) stack of unit b."""
-    nx2 = x @ x
     tb = b @ t.T
-    ntb2 = (tb * tb).sum(axis=-1)
-    xd = tb @ x
     yd = b @ y
-    root = np.sqrt((nx2 - ntb2) ** 2 + 4.0 * xd * xd)
-    return nx2 + ntb2 + root + 2.0 * yd * yd
+    return _twice_lam(x @ x, (tb * tb).sum(axis=-1), tb @ x) + 2.0 * yd * yd
+
+
+def _rank2_top(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit top eigenvectors of u u^t + v v^t for a fixed 3-vector u and an
+    (n, 3) stack v, in closed form.
+
+    The top eigenvector is c0 u + c1 v, where (c0, c1) is the top
+    eigenvector of the Gram matrix [[u.u, u.v], [u.v, v.v]] for the lam of
+    _twice_lam: (lam - v.v, u.v) when u.u >= v.v, else (u.v, lam - u.u).
+    Either way the vector's component along the longer of u and v is a sum
+    of nonnegative terms, so nothing cancels.  The vector vanishes only on
+    an exact tie (|u| = |v| and u orthogonal to v, or u = v = 0), where
+    every unit vector of span{u, v} is a top eigenvector; u/|u| is taken
+    then, or the z axis when u = 0.
+    """
+    p = u @ u
+    q = (v * v).sum(axis=-1)
+    r = v @ u
+    lam = 0.5 * _twice_lam(p, q, r)
+    u_first = p >= q
+    c0 = np.where(u_first, lam - q, r)
+    c1 = np.where(u_first, r, lam - p)
+    w = c0[:, None] * u + c1[:, None] * v
+    norm = np.sqrt((w * w).sum(axis=-1))
+    tie = norm == 0.0
+    if tie.any():
+        w[tie] = u / math.sqrt(p) if p > 0.0 else AXIS_Z.n
+        norm[tie] = 1.0
+    return w / norm[:, None]
 
 
 def _axis_seeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows of v, plus u/|u| unless u = 0."""
     nu = float(np.linalg.norm(u))
     return np.concatenate([v, u[None, :] / nu]) if nu > 0.0 else v
-
-
-def _rank1_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u u^t + v v^t for a fixed 3-vector u and an (n, 3) stack v."""
-    return np.outer(u, u) + v[:, :, None] * v[:, None, :]
 
 
 def ggqd_general(state: DensityMatrix4) -> MeasureResult:
@@ -406,7 +434,10 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     Alternating the two steps is the higher-order power method (De Lathauwer,
     De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000): each step
     maximizes f over one axis with the other held, so f never decreases.
-    Maximized over a in closed form (lam_max of two rank-1 Gram terms),
+    Both matrices have rank 2, so each step is taken in closed form from the
+    2x2 Gram matrix of its two vectors (:func:`_rank2_top`), with no
+    eigensolver call.  Maximized over a in closed form (lam_max of the same
+    Gram matrix),
 
         f(b) = (b.y)^2 + [|x|^2 + |Tb|^2
                           + sqrt((|x|^2 - |Tb|^2)^2 + 4 (x.Tb)^2)] / 2.
@@ -435,11 +466,11 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     s_total = float(x @ x) + float(y @ y) + float((t * t).sum())
     u, _, vt = np.linalg.svd(t)
 
-    def a_matrix(b):
-        return _rank1_sum(x, b @ t.T)
+    def a_step(b):
+        return _rank2_top(x, b @ t.T)
 
-    def b_matrix(a):
-        return _rank1_sum(y, a @ t)
+    def b_step(a):
+        return _rank2_top(y, a @ t)
 
     def objective(b):
         return _twice_f(b, x, y, t)
@@ -450,12 +481,12 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     b, fmax = _eigen_ascent(
         np.concatenate([_lattice_seeds(objective), _axis_seeds(y, vt)]),
         np.concatenate([_lattice_seeds(objective_a), _axis_seeds(x, u.T)]),
-        a_matrix,
-        b_matrix,
+        a_step,
+        b_step,
         objective,
     )
     value, clamped = _finalize((s_total - 0.5 * fmax) / 4.0)
-    a = _top_eigvecs(a_matrix(b[None, :]))[0]
+    a = a_step(b[None, :])[0]
     return MeasureResult(
         value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )
@@ -568,11 +599,17 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
         quad_a = np.einsum("...i,ij,...j->...", a, qa, a)
         return c0 + quad_a + np.linalg.eigvalsh(b_matrix(a))[..., -1]
 
+    def a_step(b):
+        return _top_eigvecs(a_matrix(b))
+
+    def b_step(a):
+        return _top_eigvecs(b_matrix(a))
+
     b, inner = _eigen_ascent(
-        _lattice_seeds(objective), _lattice_seeds(objective_a), a_matrix, b_matrix, objective
+        _lattice_seeds(objective), _lattice_seeds(objective_a), a_step, b_step, objective
     )
     value, clamped = _finalize(trcc - inner)
-    a = _top_eigvecs(a_matrix(b[None, :]))[0]
+    a = a_step(b[None, :])[0]
     return MeasureResult(
         value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )

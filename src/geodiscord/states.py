@@ -216,7 +216,9 @@ def reservoir_amplitudes(alpha: float, gt: float) -> ReservoirAmplitudes:
     beta = math.sqrt(beta_sq)
     decay = math.exp(-gt)
     c1 = beta * decay
-    c2 = beta * math.sqrt(2.0 * gt) * decay
+    # exp(-gt) underflows to 0 long before 2 gt overflows to inf, whose
+    # product with it would be nan
+    c2 = beta * math.sqrt(2.0 * gt) * decay if decay > 0.0 else 0.0
     radicand = 1.0 - alpha * alpha - c1 * c1 - c2 * c2
     if -1e-14 <= radicand < 0.0:
         radicand = 0.0

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from geodiscord import (
     XStateParams,
+    cli,
     maximally_mixed,
     measures,
     random_density,
@@ -321,6 +323,70 @@ class TestSweep:
         first = out.read_text().splitlines()[1].split(",")
         expect = 2.0 * 0.09 * 0.91
         assert float(first[2]) == pytest.approx(expect, abs=1e-12)
+
+    def test_range_up_to_float_max(self, tmp_path):
+        # 2 gt overflows to inf at the far end; c2 must not become inf * 0 = nan
+        out = tmp_path / "ex5.csv"
+        assert main(["sweep", "--example", "ex5", "--range", "0:1e308:3",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [list(map(float, ln.split(","))) for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3 and np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("bad", ["nan:1:3", "0:inf:3", "-1e308:1e308:3"])
+    def test_non_finite_range(self, bad, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--example", "ex5", f"--range={bad}",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_invalid_family_point_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "example1", lambda a: XStateParams(0.5, 0.5, 0.5, 0.5))
+        code = main(["sweep", "--example", "ex1", "--range", "0.1:1:3",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: populations must sum to 1")
+
+
+_ODD_FLOATS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0, 1.0)
+
+
+@st.composite
+def _sweep_args(draw):
+    """sweep arguments: every example, range ends finite or not and in
+    either order, up to 50 steps, and --alpha in or out of [0, 1]."""
+    end = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_ODD_FLOATS),
+                    st.floats(-1.0, 10.0), st.floats())
+    lo, hi = draw(end), draw(end)
+    if draw(st.booleans()):
+        lo, hi = hi, lo
+    args = ["sweep", "--example", draw(st.sampled_from(cli._EXAMPLE_IDS)),
+            f"--range={lo!r}:{hi!r}:{draw(st.integers(-1, 50))}"]
+    alpha = draw(st.one_of(st.none(), st.floats(0.0, 1.0),
+                           st.sampled_from((float("nan"), float("inf"), -0.5, 1.5))))
+    if alpha is not None:
+        args.append(f"--alpha={alpha!r}")
+    return args
+
+
+class TestSweepFuzz:
+    # any sweep arguments end in an exit code of the 0-4 contract, never a
+    # traceback, and a warning (which would print to stderr) counts as a fault
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=_sweep_args())
+    def test_exit_code_contract(self, tmp_path, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--out", str(tmp_path / "sweep.csv")])
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_VALIDATION,
+                        EXIT_UNWRITABLE)
+        assert (code == EXIT_OK) == (err.getvalue() == "")
+        assert "Traceback" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestVerify:

@@ -16,12 +16,14 @@ from geodiscord import (
     TraceNotOne,
     apply_measurement,
     bloch_decompose,
+    gd_dakic,
     maximally_mixed,
     purity,
     random_density,
     reconstruct,
     validate_density,
 )
+from geodiscord import core
 from geodiscord.core import BlochForm
 
 
@@ -135,8 +137,26 @@ class TestBloch:
         for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
             m[i, j] = 0.45e-12j
         state = validate_density(m)
-        with pytest.raises(ImaginaryResidue):
-            bloch_decompose(state)
+        # no form is kept, so every call raises, not only the first
+        for call in (bloch_decompose, bloch_decompose, gd_dakic):
+            with pytest.raises(ImaginaryResidue):
+                call(state)
+
+    def test_form_is_computed_once_per_state(self, monkeypatch):
+        calls = []
+        expectations = core._pauli_expectations
+        monkeypatch.setattr(
+            core, "_pauli_expectations", lambda m: calls.append(1) or expectations(m)
+        )
+        state = random_density(np.random.default_rng(19))
+        first = bloch_decompose(state)
+        assert bloch_decompose(state) is first
+        assert len(calls) == 1
+        # a new state built from the same matrix computes its own
+        again = bloch_decompose(validate_density(state.matrix))
+        assert len(calls) == 2
+        for a, b in ((first.x, again.x), (first.y, again.y), (first.T, again.T)):
+            assert np.array_equal(a, b) and not a.flags.writeable
 
     def test_reconstruct_rejects_unphysical(self):
         t = np.diag([1.0, 1.0, 1.0])  # not a valid correlation matrix alone

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from geodiscord import (
@@ -336,13 +338,13 @@ class TestTwoSidedAscent:
             2.4961365755356412e-05 - 1.5048980987870726e-05j,
         )
         calls = []
-        top_eigvecs = measures._top_eigvecs
+        rank2_top = measures._rank2_top
         monkeypatch.setattr(
-            measures, "_top_eigvecs", lambda m: calls.append(1) or top_eigvecs(m)
+            measures, "_rank2_top", lambda u, v: calls.append(1) or rank2_top(u, v)
         )
         value = ggqd_general(x_state(p)).value
         assert value == pytest.approx(ggqd_x(normalize_x_phases(p).normalized).value, abs=1e-12)
-        assert (len(calls) - 2) // 2 < 1000  # two eigensolves per sweep
+        assert (len(calls) - 2) // 2 < 1000  # two steps per sweep
 
     def test_guard_fires_when_sweeps_run_out(self, monkeypatch):
         monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
@@ -350,3 +352,129 @@ class TestTwoSidedAscent:
         for _ in range(20):
             with pytest.raises(OptimizerDidNotConverge):
                 ggqd_general(random_density(rng))
+
+
+def _step_rows(scale):
+    """(u, v stack) pairs for the closed-form step at one scale: u = 0, v = 0,
+    both, u parallel and antiparallel to v, an exact tie (|u| = |v|, u
+    orthogonal to v), near ties, and lengths far apart either way."""
+    rng = np.random.default_rng(50)
+    u = rng.normal(size=3)
+    u *= scale / np.linalg.norm(u)
+    ortho = np.cross(u, rng.normal(size=3))
+    ortho *= scale / np.linalg.norm(ortho)
+    zero = np.zeros(3)
+    vs = np.array([
+        zero, u, -u, 0.3 * u, -3.0 * u, ortho, -ortho, ortho * (1 + 1e-15),
+        ortho + 1e-16 * scale * u, 1e-9 * ortho, 1e9 * ortho, 1e-9 * u + ortho,
+        *(scale * rng.normal(size=(4, 3))),
+    ])
+    yield u, vs
+    yield zero, vs
+    yield np.array([scale, 0.0, 0.0]), scale * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    yield 1e-9 * u, vs
+    yield 1e9 * u, vs
+
+
+class TestRank2Step:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 1.0, 10.0])
+    def test_top_eigenvector_of_adversarial_rows(self, scale):
+        for u, vs in _step_rows(scale):
+            w = measures._rank2_top(u, vs)
+            assert np.abs(np.linalg.norm(w, axis=-1) - 1.0).max() <= 1e-15
+            for wi, v in zip(w, vs):
+                mat = np.outer(u, u) + np.outer(v, v)
+                top = np.linalg.eigvalsh(mat)[-1]
+                quad = (wi @ u) ** 2 + (wi @ v) ** 2
+                assert abs(quad - top) <= 1e-15 * (u @ u + v @ v), (u, v)
+
+    def test_fixed_rule_on_exact_ties(self):
+        u = np.array([0.0, 0.6, 0.0])
+        w = measures._rank2_top(u, np.array([[0.0, 0.0, 0.6], [0.0, 0.0, 0.0]]))
+        assert np.array_equal(w, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(measures._rank2_top(np.zeros(3), np.zeros((1, 3))),
+                              [[0.0, 0.0, 1.0]])
+
+
+class TestSharedBlochForm:
+    def test_values_do_not_depend_on_call_order(self):
+        rng = np.random.default_rng(51)
+        for m in [random_density(rng).matrix, pure_state(rng), werner_state(0.6)]:
+            one, two = validate_density(m), validate_density(m)
+            gd_first, gg_second = gd_dakic(one), ggqd_general(one)
+            gg_first, gd_second = ggqd_general(two), gd_dakic(two)
+            for x, y in ((gd_first, gd_second), (gg_first, gg_second)):
+                assert x.value == y.value
+                for a, b in zip(x.maximizer, y.maximizer):
+                    assert a is b is None or np.array_equal(a.n, b.n)
+
+
+def _local_unitary(angles):
+    """exp(-i a Z/2) exp(-i b Y/2) exp(-i c Z/2): every qubit unitary up to a
+    global phase."""
+    a, b, c = angles
+    rz_a = np.diag(np.exp([-0.5j * a, 0.5j * a]))
+    rz_c = np.diag(np.exp([-0.5j * c, 0.5j * c]))
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
+    return rz_a @ ry @ rz_c
+
+
+_ANGLES = st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _density(draw):
+    """G G^+ / tr from an entrywise-drawn 4x4 G: zeros in G give pure, rank-2
+    and other rank-deficient states."""
+    g = np.array(draw(st.lists(_UNIT, min_size=32, max_size=32))).reshape(2, 4, 4)
+    g = g[0] + 1j * g[1]
+    m = g @ g.conj().T
+    if np.trace(m).real < 1e-3:
+        m = m + np.eye(4)
+    return m / np.trace(m).real
+
+
+@st.composite
+def _qubit(draw):
+    r = np.array(draw(st.tuples(_UNIT, _UNIT, _UNIT)))
+    r /= max(1.0, float(np.linalg.norm(r)))
+    return 0.5 * (np.eye(2) + r[0] * np.array([[0, 1], [1, 0]])
+                  + r[1] * np.array([[0, -1j], [1j, 0]]) + r[2] * np.diag([1, -1]))
+
+
+@st.composite
+def _classical(draw):
+    """sum_ij p_ij |i><i| (x) |j><j| in local bases drawn at random."""
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    p = p / p.sum() if p.sum() > 1e-3 else np.full(4, 0.25)
+    u = np.kron(_local_unitary(draw(_ANGLES)), _local_unitary(draw(_ANGLES)))
+    return u @ np.diag(p) @ u.conj().T
+
+
+_PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
+
+
+class TestMeasureProperties:
+    # GD <= 1/2: Dakic, Vedral & Brukner, PRL 105, 190502 (2010);
+    # GGQD >= GD holds for every two-qubit state (proof in cli.cmd_verify)
+    @_PROPERTY_SETTINGS
+    @given(m=_density(), angles_a=_ANGLES, angles_b=_ANGLES)
+    def test_bounds_and_invariances(self, m, angles_a, angles_b):
+        state = validate_density(m)
+        gd_v, gg_v = gd_dakic(state).value, ggqd_general(state).value
+        assert 0.0 <= gd_v <= 0.5
+        assert gg_v >= gd_v - 1e-10
+        u = np.kron(_local_unitary(angles_a), _local_unitary(angles_b))
+        rotated = validate_density(u @ m @ u.conj().T)
+        assert gd_dakic(rotated).value == pytest.approx(gd_v, abs=1e-10)
+        assert ggqd_general(rotated).value == pytest.approx(gg_v, abs=1e-10)
+        swapped = validate_density(SWAP @ m @ SWAP)
+        assert ggqd_general(swapped).value == pytest.approx(gg_v, abs=1e-12)
+
+    @_PROPERTY_SETTINGS
+    @given(m=st.one_of(st.builds(np.kron, _qubit(), _qubit()), _classical()))
+    def test_zero_without_correlations(self, m):
+        state = validate_density(m)
+        assert 0.0 <= gd_dakic(state).value <= 1e-12
+        assert 0.0 <= ggqd_general(state).value <= 1e-12

@@ -192,6 +192,13 @@ class TestReservoirFamily:
             total = r.alpha**2 + r.c1**2 + r.c2**2 + r.c3**2
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_times_up_to_float_max(self):
+        # 2 gt overflows to inf there; c2 must stay 0, not inf * 0 = nan
+        for gt in (750.0, 1e200, 8.9e307, 1e308, np.finfo(float).max):
+            r = reservoir_amplitudes(0.1, gt)
+            assert (r.c1, r.c2) == (0.0, 0.0)
+            assert r.c3 == pytest.approx(np.sqrt(0.99), abs=1e-12)
+
     def test_tiny_times_never_raise(self):
         # the c3 radicand can round slightly negative near t = 0
         for gt in (0.0, 1e-18, 1e-16, 1e-12, 1e-8):
