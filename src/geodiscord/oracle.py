@@ -25,7 +25,16 @@ pair's purity, 2 sum_k (p_k+ - t_k/2)^2 + sum_k t_k^2 / 2, is a ten-term
 real dot product: nine numbers from side A (twice the Hermitian 3x3
 compression of sum_k sigma~_k (x) sigma~_k to that subspace), nine from
 side B (|w><w| with w = v (x) v in that basis), and a constant column that
-carries sum_k t_k^2 / 2.
+carries sum_k t_k^2 / 2.  The side-A compression has a closed form in six
+sums over the two outcomes (``_two_copy_rows``), and the side-B table of
+the base grid depends on the grid alone, so it is built once per
+``GridSpec`` (``_grid_tables``); every state still scans every pair.
+
+The scan runs in two passes.  A screening pass scores every pair in single
+precision, which only bounds where the best pair can lie; a second pass
+re-scores in double precision, in one fixed order, the pairs that the
+screen's rounding bound cannot rule out (``_two_sided_max``).  So the
+answer is the one a double-precision scan gives, to the bit.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -41,6 +50,7 @@ the rounding of the matrix-product kernel cannot move a tie
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +58,11 @@ import numpy as np
 from .core import DensityMatrix4, MeasurementAxis, apply_measurement, purity
 from .measures import MeasureResult, Method, _finalize
 
-# a-axis rows per block in the two-sided scan: a block's products, one
-# row per a-axis, 16 x 4 097 doubles at the reference grid, are 512 KB and
-# stay in cache.  Base scan on Ginibre states, one thread: 23 ms at 16
-# rows, 25 ms at 8, 29 ms at 32, 35 ms at 64, 78 ms in one block
+# a-axis rows per block in the two-sided scan: a block's scores, one row
+# per a-axis, 16 x 4 097 floats at the reference grid, are 256 KB in the
+# screening pass and 512 KB in the re-score pass, and stay in cache.  Base
+# scan of Ginibre states without building the rows, one thread: 6.0 ms at
+# 16 rows, 9.3 ms at 8, 7.1 ms at 24, 12.5 ms at 32, 13.6 ms at 64
 _CHUNK = 16
 _LOCAL_POINTS = 11  # per-angle resolution of refinement windows
 # contraction order of the conditional blocks: each ket's outer product
@@ -63,13 +74,19 @@ _COND_PATH = ["einsum_path", (0, 2), (0, 1)]
 _SYM = np.array(
     [[1.0, 0.0, 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, 0.0, 1.0]]
 )
-_SYM2 = np.kron(_SYM, _SYM)  # flattened 4x4 -> flattened compression S^T M S
 _UPPER = np.triu_indices(3, 1)
 # a product entry and its re-score each lie within gamma_10 < 10.1 u
 # (u = 2^-53) times the row's absolute sum of the exact ten-term dot
 # product, since no column entry exceeds 1; so the two differ by at most
 # 22 u times that sum
 _ROUNDING = 22 * 2.0**-53
+# the screening pass rounds the nine b-dependent coefficients of a row and
+# a column to float32 (2 u32 + u32^2 on a product, u32 = 2^-24), sums their
+# products in float32 (gamma_9 = 9 u32 / (1 - 9 u32)) and adds the constant
+# in float64 (one u): a screen entry lies within 12 u32 + u times the row's
+# absolute sum of the exact dot product, so it and the pair's re-score
+# differ by at most _ROUNDING + _SCREEN times that sum
+_SCREEN = 12 * 2.0**-24 + 2.0**-53
 # the second pass re-scores a block whole, not pair by pair, once more
 # than 1/_DENSE of its pairs are candidates: at the reference grid a whole
 # 16-row block takes 0.77 ms, the same as gathering and re-scoring 7% of
@@ -185,30 +202,59 @@ def _two_copy_rows(rho4, theta, phi):
     Row a holds H = S^T (sum_k sigma~_k (x) sigma~_k) S in trace form, its
     off-diagonal entries doubled because tr(H W) counts them twice, then
     sum_k t_k^2 / 4, all times 2: a row times a column of _two_copy_cols is
-    2 <w|H|w> + sum_k t_k^2 / 2, the pair's purity.  sigma~_k is the
-    Hermitian part of sigma_k less (t_k/2) I.  The contraction leaves
-    sigma_k Hermitian only up to rounding; with that residue dropped, a row
-    whose blocks are multiples of I (every row of I/4) has nine exact zeros.
+    2 <w|H|w> + sum_k t_k^2 / 2, the pair's purity.  sigma~_k, the
+    Hermitian part of sigma_k less (t_k/2) I, is [[al_k, be_k], [be_k*,
+    -al_k]], and H follows in closed form from the six real numbers in
+    sum_k al_k^2, sum_k |be_k|^2, sum_k al_k be_k and sum_k be_k^2:
+
+        H = [[A,          r2 AB,      BB        ],
+             [r2 AB*,     B - A,      -r2 AB    ],
+             [BB*,        -r2 AB*,    A         ]]
+
+    with A = sum al^2, B = sum |be|^2, AB = sum al be, BB = sum be^2 and
+    r2 = sqrt(2).  The contraction leaves sigma_k Hermitian only up to
+    rounding; with that residue dropped, a row whose blocks are multiples
+    of I (every row of I/4) has nine exact zeros.
     """
     sig = _conditional_a(rho4, theta, phi)
-    t = np.einsum("akmm->ak", sig).real
-    sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
-    sig -= 0.5 * t[..., None, None] * np.eye(2)
-    n = theta.size
-    m = np.einsum("akmn,akpq->ampnq", sig, sig).reshape(n, 16)
-    rows = _trace_form((m @ _SYM2).reshape(n, 3, 3), 0.25 * (t * t).sum(axis=1))
-    rows[:, 3:9] *= 2.0
-    rows *= 2.0
+    d0, d1 = sig[..., 0, 0].real, sig[..., 1, 1].real
+    t = d0 + d1
+    al = 0.5 * (d0 - d1)
+    be = 0.5 * (sig[..., 0, 1] + sig[..., 1, 0].conj())
+    a2 = (al * al).sum(axis=1)
+    ab = (al * be).sum(axis=1)
+    bb = (be * be).sum(axis=1)
+    rows = np.empty((theta.size, 10))
+    rows[:, 0] = rows[:, 2] = 2.0 * a2
+    rows[:, 1] = 2.0 * ((be.real**2 + be.imag**2).sum(axis=1) - a2)
+    rows[:, 3], rows[:, 6] = 4.0 * np.sqrt(2.0) * ab.real, 4.0 * np.sqrt(2.0) * ab.imag
+    rows[:, 4], rows[:, 7] = 4.0 * bb.real, 4.0 * bb.imag
+    rows[:, 5], rows[:, 8] = -rows[:, 3], -rows[:, 6]
+    rows[:, 9] = 0.5 * (t * t).sum(axis=1)
     return rows
 
 
 def _two_copy_cols(theta, phi):
     """Side-B coefficients of the two-sided purity: (10, Nb) real, the
-    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1."""
+    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1;
+    and its first nine rows in float32, (9, Nb), for the screening pass."""
     v = _kets(theta, phi)[:, 0, :]
     w = np.einsum("bm,bn->bmn", v, v).reshape(theta.size, 4) @ _SYM
     ww = np.einsum("bi,bj->bij", w, w.conj())
-    return np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
+    cols = np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
+    return cols, cols[:-1].astype(np.float32)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(grid: GridSpec):
+    """The base grid's angles and side-B coefficients, (theta, phi, cols,
+    cols32) of _scan_angles and _two_copy_cols.  They depend on the grid
+    alone, so each GridSpec builds them once; the arrays are read-only."""
+    th, ph = _scan_angles(grid)
+    tables = (th, ph, *_two_copy_cols(th, ph))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _rescore(x, y):
@@ -221,52 +267,77 @@ def _rescore(x, y):
     return out
 
 
-def _two_sided_max(rho4, th_a, ph_a, th_b, ph_b):
+def _two_sided_max(rows, cols, cols32):
     """Max of tr(Pi(rho)^2) over the (a, b) product grid.
 
-    Returns (value, index_a, index_b).  The purity of every pair is one
-    entry of rows @ cols, the two-copy form of the module docstring.
+    rows are _two_copy_rows of the a-axes, cols and cols32 _two_copy_cols of
+    the b-axes.  Returns (value, index_a, index_b).  The purity of every pair
+    is one entry of rows @ cols, the two-copy form of the module docstring.
 
-    The first pass takes each a-row's largest product.  The a-rows go
-    through in blocks of _CHUNK = 16, so a block's products (512 KB at the
-    reference grid) stay in cache while their row maxima are taken.
+    The first pass only screens: it takes each a-row's largest score, to
+    find bar and the rows that can reach it.  It scores the nine
+    b-dependent coefficients in float32 and adds the row's constant in
+    float64 afterwards.  The a-rows go through in blocks of _CHUNK = 16, so
+    a block's scores (256 KB at the reference grid) stay in cache while
+    their row maxima are taken.
 
     BLAS rounds a one-row block differently from a many-row one, so the
     products alone could settle an exact tie (I/4, Bell, Werner) on
-    different pairs at different block sizes.  Instead, a pair's product
-    and its re-score (_rescore, one fixed summation order) differ by at
-    most its row's slack, so the best re-score is at least
-    bar = max(top - slack), and only the pairs whose products lie within
-    slack of bar can reach it.  The second pass recomputes the products of
-    those rows block by block and re-scores each block's candidate pairs
-    (the whole block when they are many: a pair outside stays below bar).
-    A running best is replaced only by a larger value, or an equal one
-    earlier in enumeration order, so the first maximal pair wins, the same
-    at any block size; memory stays at one block even when every pair
-    ties to within rounding (near I/4).  A row whose nine non-constant
-    coefficients are zero equals its constant at every b, exactly, so it
-    needs no re-score and its first pair stands for it.
+    different pairs at different block sizes.  Instead, every pair is
+    settled by its re-score (_rescore, one fixed summation order).  A
+    pair's float64 product and its re-score differ by at most its row's
+    slack, _ROUNDING times the row's absolute sum; a screen score and the
+    re-score by at most its screen slack, (_ROUNDING + _SCREEN) times that
+    sum (the float32 dot product, the rounding of its inputs and the float64
+    addition of the constant, on top of the slack).  So the best re-score is
+    at least bar = max(top - screen slack), and only the rows whose screen
+    maximum lies within screen slack of bar can reach it.  The second pass
+    recomputes the float64 products of those rows block by block and
+    re-scores each block's candidate pairs, the products within slack of
+    bar (the whole block when they are many: a pair outside stays below
+    bar).  A running best is replaced only by a larger value, or an equal
+    one earlier in enumeration order, so the first maximal pair wins, the
+    same at any block size and whatever bar the screen found; memory stays
+    at one block even when every pair ties to within rounding (near I/4).
+    The running best is a re-score, so bar rises to it as the pass goes:
+    a later pair that can beat or tie it is still a candidate.  This
+    matters where the screen's slack exceeds the whole spread of values
+    (the last refinement windows): every row is live there, and only the
+    first block is re-scored whole.
+    A row whose nine non-constant coefficients are zero equals its constant
+    at every b, exactly, in either pass, so it needs no re-score and its
+    first pair stands for it.
+
+    The error bounds of the float32 pass are relative and do not hold for
+    subnormal float32 values (coefficients below about 1e-38, as off I/4 by
+    1e-20).  They need not: the constant is sum_k t_k^2 / 2 >= 1/4, since
+    t_+ + t_- = 1, so the float64 slack of a row is at least 22 u / 4, about
+    6e-16, far above any error gradual underflow can add to nine products.
     """
-    rows = _two_copy_rows(rho4, th_a, ph_a)
-    cols = _two_copy_cols(th_b, ph_b)
     n_a, n_b = rows.shape[0], cols.shape[1]
     exact = ~rows[:, :-1].any(axis=1)
-    slack = np.where(exact, 0.0, _ROUNDING * np.abs(rows).sum(axis=1))
-    buf = np.empty((min(_CHUNK, n_a), n_b))
-    top = np.empty(n_a)
+    size = np.where(exact, 0.0, np.abs(rows).sum(axis=1))
+    slack = _ROUNDING * size
+    screen = (_ROUNDING + _SCREEN) * size
+    rows32 = rows[:, :-1].astype(np.float32)
+    buf32 = np.empty((min(_CHUNK, n_a), n_b), dtype=np.float32)
+    top32 = np.empty(n_a, dtype=np.float32)
     for start in range(0, n_a, _CHUNK):
         end = min(start + _CHUNK, n_a)
-        p = np.matmul(rows[start:end], cols, out=buf[: end - start])
-        p.max(axis=1, out=top[start:end])
+        p = np.matmul(rows32[start:end], cols32, out=buf32[: end - start])
+        p.max(axis=1, out=top32[start:end])
+    top = top32 + rows[:, -1]
+    del rows32, buf32  # the second pass holds one float64 block instead
 
-    bar = float((top - slack).max())
-    live = top >= bar - slack
+    bar = float((top - screen).max())
+    live = top >= bar - screen
     best = (-np.inf, 0, 0)  # (value, -index_a, -index_b), compared as a tuple
     fixed = np.flatnonzero(live & exact)
     if fixed.size:
         a = int(fixed[np.argmax(top[fixed])])
         best = (float(top[a]), -a, 0)
     loose = np.flatnonzero(live & ~exact)
+    buf = np.empty((min(_CHUNK, loose.size), n_b))
     for start in range(0, loose.size, _CHUNK):
         sel = loose[start : start + _CHUNK]
         p = np.matmul(rows[sel], cols, out=buf[: sel.size])
@@ -281,12 +352,13 @@ def _two_sided_max(rho4, th_a, ph_a, th_b, ph_b):
         j = int(np.argmax(vals))
         r, b = divmod(int(cand[j]), n_b)
         best = max(best, (float(vals[j]), -int(sel[r]), -b))
+        bar = max(bar, best[0])
     return best[0], -best[1], -best[2]
 
 
 def _search_one_sided(rho4, grid: GridSpec, side: str):
     """Grid-plus-refinement maximization of the one-sided dephased purity."""
-    th, ph = _scan_angles(grid)
+    th, ph = _grid_tables(grid)[:2]
     vals = _one_sided_values(rho4, th, ph, side)
     idx = int(np.argmax(vals))
     best_t, best_p, best_v = float(th[idx]), float(ph[idx]), float(vals[idx])
@@ -306,8 +378,8 @@ def _search_one_sided(rho4, grid: GridSpec, side: str):
 
 
 def _search_two_sided(rho4, grid: GridSpec):
-    th, ph = _scan_angles(grid)
-    val, ia, ib = _two_sided_max(rho4, th, ph, th, ph)
+    th, ph, cols, cols32 = _grid_tables(grid)
+    val, ia, ib = _two_sided_max(_two_copy_rows(rho4, th, ph), cols, cols32)
     at, ap = float(th[ia]), float(ph[ia])
     bt, bp = float(th[ib]), float(ph[ib])
     history = [val]
@@ -316,7 +388,9 @@ def _search_two_sided(rho4, grid: GridSpec):
     for _ in range(grid.refine_iters):
         lta, lpa = _local_angles(at, ap, half_t, half_p)
         ltb, lpb = _local_angles(bt, bp, half_t, half_p)
-        v, ia, ib = _two_sided_max(rho4, lta, lpa, ltb, lpb)
+        v, ia, ib = _two_sided_max(
+            _two_copy_rows(rho4, lta, lpa), *_two_copy_cols(ltb, lpb)
+        )
         if v > val:
             val = v
             at, ap = float(lta[ia]), float(lpa[ia])

@@ -235,6 +235,18 @@ def _state_file_bytes(draw):
     return data
 
 
+def _check_compute_exit_code(tmp_path, method, data):
+    path = tmp_path / "state.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", str(path), "--method", method])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_VALIDATION,
+                    EXIT_UNWRITABLE)
+    assert (code == EXIT_OK) == (err.getvalue() == "")
+    assert "Traceback" not in err.getvalue()
+
+
 class TestComputeFuzz:
     # any file ends in an exit code of the 0-4 contract, never a traceback
     @pytest.mark.parametrize("method", ["analytic", "numeric"])
@@ -242,15 +254,15 @@ class TestComputeFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=_state_file_bytes())
     def test_exit_code_contract(self, tmp_path, method, data):
-        path = tmp_path / "state.txt"
-        path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["compute", str(path), "--method", method])
-        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_VALIDATION,
-                        EXIT_UNWRITABLE)
-        assert (code == EXIT_OK) == (err.getvalue() == "")
-        assert "Traceback" not in err.getvalue()
+        _check_compute_exit_code(tmp_path, method, data)
+
+    # a brute-force call scans the whole reference grid (tens of ms), so
+    # it gets fewer examples
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_state_file_bytes())
+    def test_brute_exit_code_contract(self, tmp_path, data):
+        _check_compute_exit_code(tmp_path, "brute", data)
 
 
 class TestSweep:
@@ -305,6 +317,15 @@ class TestSweep:
         code = main(["sweep", "--example", "ex1", "--range", bad,
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+
+    def test_step_count_is_bounded(self, tmp_path, capsys):
+        # rejected before anything is allocated, so the call returns at once
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--example", "ex1", "--range", "0.01:1:100000001",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: range allows at most 100000 steps")
+        assert not out.exists()
 
     def test_out_of_domain_range(self, tmp_path, capsys):
         code = main(["sweep", "--example", "ex1", "--range=-1:1:3",

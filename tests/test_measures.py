@@ -452,6 +452,20 @@ def _classical(draw):
     return u @ np.diag(p) @ u.conj().T
 
 
+@st.composite
+def _x_params(draw):
+    """A phased X state: populations from four draws in [0, 1] (zeros give
+    rank-deficient states), corner moduli anywhere up to their positivity
+    bounds, and phases anywhere on the circle."""
+    d = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    d = d / d.sum() if d.sum() > 1e-3 else np.full(4, 0.25)
+    f03, f12 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    ph03, ph12 = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    a03 = f03 * np.sqrt(d[0] * d[3]) * np.exp(1j * ph03)
+    a12 = f12 * np.sqrt(d[1] * d[2]) * np.exp(1j * ph12)
+    return XStateParams(*d, a03, a12)
+
+
 _PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
 
 
@@ -471,6 +485,31 @@ class TestMeasureProperties:
         assert ggqd_general(rotated).value == pytest.approx(gg_v, abs=1e-10)
         swapped = validate_density(SWAP @ m @ SWAP)
         assert ggqd_general(swapped).value == pytest.approx(gg_v, abs=1e-12)
+
+    @_PROPERTY_SETTINGS
+    @given(m=_density(), angles_a=_ANGLES, angles_b=_ANGLES)
+    def test_matrix_form_invariances(self, m, angles_a, angles_b):
+        # ggqd_matrix_form is a separate route through the correlation matrix
+        state = validate_density(m)
+        mf_v = ggqd_matrix_form(state).value
+        assert mf_v == pytest.approx(ggqd_general(state).value, abs=1e-9)
+        u = np.kron(_local_unitary(angles_a), _local_unitary(angles_b))
+        rotated = validate_density(u @ m @ u.conj().T)
+        assert ggqd_matrix_form(rotated).value == pytest.approx(mf_v, abs=1e-10)
+        swapped = validate_density(SWAP @ m @ SWAP)
+        assert ggqd_matrix_form(swapped).value == pytest.approx(mf_v, abs=1e-10)
+
+    @_PROPERTY_SETTINGS
+    @given(p=_x_params())
+    def test_x_closed_forms_match_numeric(self, p):
+        # the closed forms take the phase-normalized parameters; the general
+        # evaluators see the phased state, a local unitary away from it
+        normalized = normalize_x_phases(p).normalized
+        state = x_state(p)
+        gd_v, gg_v = gd_x(normalized).value, ggqd_x(normalized).value
+        assert gd_v == pytest.approx(gd_dakic(state).value, abs=1e-10)
+        assert gg_v == pytest.approx(ggqd_general(state).value, abs=1e-8)
+        assert gap_x(normalized) == pytest.approx(gg_v - gd_v, abs=1e-12)
 
     @_PROPERTY_SETTINGS
     @given(m=st.one_of(st.builds(np.kron, _qubit(), _qubit()), _classical()))

@@ -29,9 +29,14 @@ from geodiscord import (
 from geodiscord import oracle
 from geodiscord.oracle import (
     _conditional_a,
+    _grid_tables,
     _kets,
     _one_sided_values,
+    _rescore,
     _scan_angles,
+    _trace_form,
+    _two_copy_cols,
+    _two_copy_rows,
     _two_sided_max,
 )
 
@@ -55,6 +60,106 @@ def _qubit(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def _scan(rho4, th_a, ph_a, th_b, ph_b):
+    """_two_sided_max over the (a, b) product of two axis sets."""
+    return _two_sided_max(_two_copy_rows(rho4, th_a, ph_a), *_two_copy_cols(th_b, ph_b))
+
+
+def _float64_first_pass_max(rows, cols):
+    """_two_sided_max with its first pass in float64: each row's largest
+    product, the re-score slack alone, and the same second pass and tie
+    rule.  The single-precision screen must give the same (value, a, b)."""
+    n_a, n_b = rows.shape[0], cols.shape[1]
+    exact = ~rows[:, :-1].any(axis=1)
+    slack = np.where(exact, 0.0, oracle._ROUNDING * np.abs(rows).sum(axis=1))
+    top = np.concatenate(
+        [(rows[s : s + oracle._CHUNK] @ cols).max(axis=1) for s in range(0, n_a, oracle._CHUNK)]
+    )
+    bar = float((top - slack).max())
+    live = top >= bar - slack
+    best = (-np.inf, 0, 0)
+    fixed = np.flatnonzero(live & exact)
+    if fixed.size:
+        a = int(fixed[np.argmax(top[fixed])])
+        best = (float(top[a]), -a, 0)
+    loose = np.flatnonzero(live & ~exact)
+    for start in range(0, loose.size, oracle._CHUNK):
+        sel = loose[start : start + oracle._CHUNK]
+        p = rows[sel] @ cols
+        cand = np.flatnonzero(p >= (bar - slack[sel])[:, None])
+        if cand.size > p.size // oracle._DENSE:
+            cand = np.arange(p.size)
+            vals = _rescore(rows[sel].T[:, :, None], cols).ravel()
+        elif cand.size:
+            vals = _rescore(rows[sel[cand // n_b]].T, cols[:, cand % n_b])
+        else:
+            continue
+        j = int(np.argmax(vals))
+        r, b = divmod(int(cand[j]), n_b)
+        best = max(best, (float(vals[j]), -int(sel[r]), -b))
+    return best[0], -best[1], -best[2]
+
+
+def _compressed_rows(rho4, th, ph):
+    """_two_copy_rows by the literal compression: sum_k sigma~_k (x)
+    sigma~_k as a 4x4 matrix, then S^T M S on the symmetric subspace."""
+    sig = _conditional_a(rho4, th, ph)
+    t = np.einsum("akmm->ak", sig).real
+    sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
+    sig -= 0.5 * t[..., None, None] * np.eye(2)
+    m = np.einsum("akmn,akpq->ampnq", sig, sig).reshape(th.size, 16)
+    h = (m @ np.kron(oracle._SYM, oracle._SYM)).reshape(th.size, 3, 3)
+    rows = _trace_form(h, 0.25 * (t * t).sum(axis=1))
+    rows[:, 3:9] *= 2.0
+    return 2.0 * rows
+
+
+def _fused_family():
+    """Bell, Werner and Ginibre states, then degenerate landscapes: |00>,
+    Werner states at 0.2 and 1.0 (ties along a curve), pure, rank-2 and
+    product states, and X states that keep their complex phases."""
+    rng = np.random.default_rng(49)
+    states = [x_state(BELL), _werner(0.6)]
+    states += [random_density(rng) for _ in range(10)]
+    states += [
+        validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+        _werner(0.2),
+        _werner(1.0),
+    ]
+    states += [validate_density(_pure(rng)) for _ in range(3)]
+    states += [validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(3)]
+    states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(3)]
+    states += [x_state(random_x_params(rng)) for _ in range(3)]
+    return states
+
+
+def _near_mixed_family():
+    """States off I/4 by 1e-9 (Werner and X) and I/4 in a rotated basis."""
+    rng = np.random.default_rng(50)
+    near_x = np.eye(4) / 4 + 1e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
+    near_x[0, 3] = near_x[3, 0] = 1e-9
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return [
+        _werner(1e-9),
+        validate_density(near_x.astype(complex)),
+        validate_density(u @ (np.eye(4) / 4) @ u.conj().T),
+    ]
+
+
+def _product_like(eps):
+    """(I + x.sigma (x) I + eps H) / 4 with |x| = 0.5 and H a traceless
+    Hermitian of entries about 1: correlations and a side-B Bloch vector
+    of about eps."""
+    rng = np.random.default_rng(51)
+    x = rng.normal(size=3)
+    x *= 0.5 / np.linalg.norm(x)
+    local = np.array([[x[2], x[0] - 1j * x[1]], [x[0] + 1j * x[1], -x[2]]])
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h += h.conj().T
+    h -= np.trace(h) / 4 * np.eye(4)
+    return (np.eye(4) + np.kron(local, np.eye(2)) + eps * h) / 4
 
 
 def _unfused_objective(rho4, th, ph):
@@ -111,7 +216,7 @@ class TestObjectiveIdentity:
             state = random_density(rng)
             ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
             tb, pb = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            val, _, _ = _two_sided_max(
+            val, _, _ = _scan(
                 state.matrix.reshape(2, 2, 2, 2),
                 np.array([ta]), np.array([pa]), np.array([tb]), np.array([pb]),
             )
@@ -163,34 +268,13 @@ class TestTwoSidedScan:
             answers = set()
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                answers.add(
-                    _two_sided_max(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
-                )
+                answers.add(_scan(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH))
             assert len(answers) == 1, answers
 
     def test_fused_scan_matches_unfused_objective(self):
-        rng = np.random.default_rng(49)
-        states = [x_state(BELL), _werner(0.6)]
-        states += [random_density(rng) for _ in range(10)]
-        # degenerate landscapes: |00>, Werner states at 0.2 and 1.0 (ties
-        # along a curve), pure, rank-2 and product states, and X states that
-        # keep their complex phases
-        states += [
-            validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
-            _werner(0.2),
-            _werner(1.0),
-        ]
-        states += [validate_density(_pure(rng)) for _ in range(3)]
-        states += [
-            validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(3)
-        ]
-        states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(3)]
-        states += [x_state(random_x_params(rng)) for _ in range(3)]
-        for state in states:
+        for state in _fused_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            val, ia, ib = _two_sided_max(
-                rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH
-            )
+            val, ia, ib = _scan(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
             ref = _unfused_objective(rho4, COARSE_TH, COARSE_PH)
             top = ref.max()
             assert abs(val - top) <= 1e-15
@@ -201,24 +285,14 @@ class TestTwoSidedScan:
         # its rounding slack, so every pair must be re-scored; the answer
         # may depend neither on the block size nor on whether a block is
         # re-scored whole or pair by pair, and memory stays at one block
-        rng = np.random.default_rng(50)
-        near_x = np.eye(4) / 4 + 1e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
-        near_x[0, 3] = near_x[3, 0] = 1e-9
-        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        states = [
-            _werner(1e-9),
-            validate_density(near_x.astype(complex)),
-            validate_density(u @ (np.eye(4) / 4) @ u.conj().T),
-        ]
+        states = _near_mixed_family()
         for state in states:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             answers = set()
             for chunk, dense in [(1, 4), (7, 4), (16, 1), (16, 10**9), (COARSE_TH.size, 4)]:
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
                 monkeypatch.setattr(oracle, "_DENSE", dense)
-                answers.add(
-                    _two_sided_max(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
-                )
+                answers.add(_scan(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH))
             assert len(answers) == 1, answers
             val, ia, ib = answers.pop()
             ref = _unfused_objective(rho4, COARSE_TH, COARSE_PH)
@@ -232,11 +306,54 @@ class TestTwoSidedScan:
         rho4 = states[0].matrix.reshape(2, 2, 2, 2)
         tracemalloc.start()
         try:
-            _two_sided_max(rho4, th, ph, th, ph)
+            _scan(rho4, th, ph, th, ph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
+
+    def test_screen_matches_float64_first_pass(self, monkeypatch):
+        # the single-precision screen only bounds where the best pair lies,
+        # so the answer is the float64 scan's to the bit; the product-like
+        # state (local Bloch vector 0.5 on A, correlations 1e-20) has
+        # b-dependent coefficients near 1e-41, subnormal in float32
+        states = _fused_family() + _near_mixed_family()
+        states.append(validate_density(_product_like(1e-20)))
+        for state in states:
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            rows = _two_copy_rows(rho4, COARSE_TH, COARSE_PH)
+            cols, cols32 = _two_copy_cols(COARSE_TH, COARSE_PH)
+            for chunk in (1, 7, 16, COARSE_TH.size):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                assert _two_sided_max(rows, cols, cols32) == _float64_first_pass_max(
+                    rows, cols
+                )
+
+    def test_closed_form_rows_match_compression(self):
+        rng = np.random.default_rng(52)
+        states = [random_density(rng) for _ in range(10)]
+        states += [validate_density(_pure(rng)) for _ in range(10)]
+        states += [validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(10)]
+        states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(10)]
+        states += [_werner(w) for w in rng.uniform(0.0, 1.0, size=5)]
+        states += [x_state(random_x_params(rng)) for _ in range(5)]  # complex phases
+        for state in states:
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            th = rng.uniform(0.0, np.pi, size=64)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
+            rows = _two_copy_rows(rho4, th, ph)
+            ref = _compressed_rows(rho4, th, ph)
+            bound = 4e-16 * np.abs(ref).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(rows - ref) <= bound)
+
+    def test_grid_tables_are_read_only(self):
+        tables = _grid_tables(COARSE)
+        assert _grid_tables(COARSE) is tables
+        th, ph = _scan_angles(COARSE)
+        for table, built in zip(tables, (th, ph, *_two_copy_cols(th, ph))):
+            assert np.array_equal(table, built)
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestBruteForce:
