@@ -14,9 +14,10 @@ scan evaluates (the equality against a literal apply_measurement round trip
 is asserted in the test suite).
 
 The two-sided scan covers every pair of the base grid, 4 097 x 4 097 axes
-at the reference settings, at one output of one real matrix product per
-pair.  With sigma_k the side-A conditional blocks, t_k = tr sigma_k and
-sigma~_k = sigma_k - (t_k/2) I their traceless parts, a side-B ket v gives
+at the reference settings, and scores a pair as one output of one real
+matrix product.  With sigma_k the side-A conditional blocks, t_k =
+tr sigma_k and sigma~_k = sigma_k - (t_k/2) I their traceless parts, a
+side-B ket v gives
 
     sum_k (p_k+ - t_k/2)^2 = <v v| sum_k sigma~_k (x) sigma~_k |v v>,
 
@@ -26,15 +27,25 @@ real dot product: nine numbers from side A (twice the Hermitian 3x3
 compression of sum_k sigma~_k (x) sigma~_k to that subspace), nine from
 side B (|w><w| with w = v (x) v in that basis), and a constant column that
 carries sum_k t_k^2 / 2.  The side-A compression has a closed form in six
-sums over the two outcomes (``_two_copy_rows``), and the side-B table of
-the base grid depends on the grid alone, so it is built once per
-``GridSpec`` (``_grid_tables``); every state still scans every pair.
+sums over the two outcomes (``_two_copy_rows``).  The base grid's
+projectors |u_k><u_k| and its side-B table depend on the grid alone, so
+they are built once per ``GridSpec`` (``_grid_tables``), and the
+conditional blocks of a base search are one matrix product of the
+projectors with rho.
 
-The scan runs in two passes.  A screening pass scores every pair in single
-precision, which only bounds where the best pair can lie; a second pass
-re-scores in double precision, in one fixed order, the pairs that the
-screen's rounding bound cannot rule out (``_two_sided_max``).  So the
-answer is the one a double-precision scan gives, to the bit.
+The same conditional blocks give each a-axis's best purity over the whole
+b-sphere exactly: with sigma~_k = [[al_k, be_k], [be_k*, -al_k]], a side-B
+ket of Bloch vector n has p_k+ - t_k/2 = r_k . n, r_k = (Re be_k, -Im be_k,
+al_k), so the row's best is sum_k t_k^2 / 2 + 2 lmax of the 2x2 Gram
+matrix of r_+, r_-.  No grid scores above it, so a row whose bound stays
+below a pair already found cannot hold the answer and is skipped.
+
+The scan runs in two passes.  A screening pass scores in single precision
+the pairs of every row that its bound does not rule out, which only
+bounds where the best pair can lie; a second pass re-scores in double
+precision, in one fixed order, the pairs that the screen's rounding bound
+cannot rule out (``_two_sided_max``).  So the answer is the one a
+double-precision scan of every pair gives, to the bit.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -60,15 +71,12 @@ from .measures import MeasureResult, Method, _finalize
 
 # a-axis rows per block in the two-sided scan: a block's scores, one row
 # per a-axis, 16 x 4 097 floats at the reference grid, are 256 KB in the
-# screening pass and 512 KB in the re-score pass, and stay in cache.  Base
-# scan of Ginibre states without building the rows, one thread: 6.0 ms at
-# 16 rows, 9.3 ms at 8, 7.1 ms at 24, 12.5 ms at 32, 13.6 ms at 64
+# screening pass and 512 KB in the re-score pass, and stay in cache.  A
+# base screen of every block of Ginibre rows (as Bell and Werner states
+# still need), one thread: 6.0 ms at 16 rows, 9.3 ms at 8, 7.1 ms at 24,
+# 12.5 ms at 32, 13.6 ms at 64
 _CHUNK = 16
 _LOCAL_POINTS = 11  # per-angle resolution of refinement windows
-# contraction order of the conditional blocks: each ket's outer product
-# first, then rho; the path optimize=True picks for two or more axes,
-# without searching for it on every call
-_COND_PATH = ["einsum_path", (0, 2), (0, 1)]
 # the symmetric subspace of two qubits as columns over |00>, |01>, |10>,
 # |11>: |00>, (|01> + |10>)/sqrt(2), |11>
 _SYM = np.array(
@@ -92,6 +100,10 @@ _SCREEN = 12 * 2.0**-24 + 2.0**-53
 # 16-row block takes 0.77 ms, the same as gathering and re-scoring 7% of
 # its pairs (one thread)
 _DENSE = 16
+# a row's ceiling, bound + slack + _MARGIN (size + c), is above every
+# re-score of the row; the margin covers the rounding of the bound, the
+# rows and the columns, O(u) (size + c) (``_two_sided_max``)
+_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -169,21 +181,30 @@ def _kets(theta, phi):
     return u
 
 
-def _conditional_a(rho4, theta, phi):
-    """sigma_k(a) = <u_k| rho |u_k> over side A: (Na, 2, 2, 2) complex."""
+def _projectors(theta, phi):
+    """|u_k><u_k| per axis and outcome, laid out as the weights of
+    <u_k| X |u_k> = sum_ij conj(u_k[i]) u_k[j] X_ij: (N, outcome, i, j)."""
     u = _kets(theta, phi)
-    return np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=_COND_PATH)
+    return u.conj()[..., :, None] * u[..., None, :]
 
 
-def _conditional_b(rho4, theta, phi):
-    """tau_l(b) = <v_l| rho |v_l> over side B: (Nb, 2, 2, 2) complex."""
-    v = _kets(theta, phi)
-    return np.einsum("bkm,imjn,bkn->bkij", v.conj(), rho4, v, optimize=_COND_PATH)
+def _conditional_a(rho4, proj):
+    """sigma_k(a) = <u_k| rho |u_k> over side A, proj = _projectors of the
+    a-axes: (Na, 2, 2, 2) complex, one matrix product."""
+    rho = rho4.transpose(0, 2, 1, 3).reshape(4, 4)  # (i j, m n)
+    return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
 
 
-def _one_sided_values(rho4, theta, phi, side: str):
-    """tr(Pi(rho)^2) for measurements on one side, every grid axis at once."""
-    sig = _conditional_a(rho4, theta, phi) if side == "a" else _conditional_b(rho4, theta, phi)
+def _conditional_b(rho4, proj):
+    """tau_l(b) = <v_l| rho |v_l> over side B, proj = _projectors of the
+    b-axes: (Nb, 2, 2, 2) complex, one matrix product."""
+    rho = rho4.transpose(1, 3, 0, 2).reshape(4, 4)  # (m n, i j)
+    return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
+
+
+def _one_sided_values(rho4, proj, side: str):
+    """tr(Pi(rho)^2) for measurements on one side, every axis of proj at once."""
+    sig = _conditional_a(rho4, proj) if side == "a" else _conditional_b(rho4, proj)
     return (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
 
 
@@ -196,8 +217,9 @@ def _trace_form(h, const):
     return np.concatenate([diag, upper.real, upper.imag, const[:, None]], axis=1)
 
 
-def _two_copy_rows(rho4, theta, phi):
-    """Side-A coefficients of the two-sided purity: (Na, 10) real.
+def _two_copy_rows(rho4, proj):
+    """Side-A coefficients of the two-sided purity: (Na, 10) real, from
+    _projectors of the a-axes.
 
     Row a holds H = S^T (sum_k sigma~_k (x) sigma~_k) S in trace form, its
     off-diagonal entries doubled because tr(H W) counts them twice, then
@@ -215,23 +237,37 @@ def _two_copy_rows(rho4, theta, phi):
     r2 = sqrt(2).  The contraction leaves sigma_k Hermitian only up to
     rounding; with that residue dropped, a row whose blocks are multiples
     of I (every row of I/4) has nine exact zeros.
+
+    Also returns each row's best purity over the whole b-sphere, (Na,)
+    real.  A side-B ket v with Bloch vector n has p_k+ - t_k/2 =
+    <v|sigma~_k|v> = r_k . n with r_k = (Re be_k, -Im be_k, al_k), so the
+    pair's purity is 2 n^T (sum_k r_k r_k^T) n + sum_k t_k^2 / 2, and its
+    maximum over unit n is sum_k t_k^2 / 2 + 2 lmax(G), G the 2x2 Gram
+    matrix G_kl = r_k . r_l = al_k al_l + Re(be_k be_l*).  lmax comes from
+    G's own entries, (g00 + g11)/2 + hypot((g00 - g11)/2, g01), which does
+    not cancel; no b-grid scores higher (``_two_sided_max``).
     """
-    sig = _conditional_a(rho4, theta, phi)
+    sig = _conditional_a(rho4, proj)
     d0, d1 = sig[..., 0, 0].real, sig[..., 1, 1].real
     t = d0 + d1
     al = 0.5 * (d0 - d1)
     be = 0.5 * (sig[..., 0, 1] + sig[..., 1, 0].conj())
-    a2 = (al * al).sum(axis=1)
+    al2 = al * al
+    be2 = be.real**2 + be.imag**2
+    a2 = al2.sum(axis=1)
     ab = (al * be).sum(axis=1)
     bb = (be * be).sum(axis=1)
-    rows = np.empty((theta.size, 10))
+    rows = np.empty((proj.shape[0], 10))
     rows[:, 0] = rows[:, 2] = 2.0 * a2
-    rows[:, 1] = 2.0 * ((be.real**2 + be.imag**2).sum(axis=1) - a2)
+    rows[:, 1] = 2.0 * (be2.sum(axis=1) - a2)
     rows[:, 3], rows[:, 6] = 4.0 * np.sqrt(2.0) * ab.real, 4.0 * np.sqrt(2.0) * ab.imag
     rows[:, 4], rows[:, 7] = 4.0 * bb.real, 4.0 * bb.imag
     rows[:, 5], rows[:, 8] = -rows[:, 3], -rows[:, 6]
     rows[:, 9] = 0.5 * (t * t).sum(axis=1)
-    return rows
+    g = al2 + be2  # g00 and g11
+    g01 = al[:, 0] * al[:, 1] + (be[:, 0] * be[:, 1].conj()).real
+    lmax = 0.5 * (g[:, 0] + g[:, 1]) + np.hypot(0.5 * (g[:, 0] - g[:, 1]), g01)
+    return rows, rows[:, 9] + 2.0 * lmax
 
 
 def _two_copy_cols(theta, phi):
@@ -247,11 +283,13 @@ def _two_copy_cols(theta, phi):
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec):
-    """The base grid's angles and side-B coefficients, (theta, phi, cols,
-    cols32) of _scan_angles and _two_copy_cols.  They depend on the grid
-    alone, so each GridSpec builds them once; the arrays are read-only."""
+    """The base grid's angles, projectors and side-B coefficients, (theta,
+    phi, proj, cols, cols32) of _scan_angles, _projectors and
+    _two_copy_cols.  They depend on the grid alone, so each GridSpec builds
+    them once (proj is 4 097 x 8 complex numbers, 0.5 MB, at the reference
+    grid); the arrays are read-only."""
     th, ph = _scan_angles(grid)
-    tables = (th, ph, *_two_copy_cols(th, ph))
+    tables = (th, ph, _projectors(th, ph), *_two_copy_cols(th, ph))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -267,15 +305,16 @@ def _rescore(x, y):
     return out
 
 
-def _two_sided_max(rows, cols, cols32):
+def _two_sided_max(rows, bound, cols, cols32):
     """Max of tr(Pi(rho)^2) over the (a, b) product grid.
 
-    rows are _two_copy_rows of the a-axes, cols and cols32 _two_copy_cols of
-    the b-axes.  Returns (value, index_a, index_b).  The purity of every pair
-    is one entry of rows @ cols, the two-copy form of the module docstring.
+    rows and bound are _two_copy_rows of the a-axes, cols and cols32
+    _two_copy_cols of the b-axes.  Returns (value, index_a, index_b).  The
+    purity of every pair is one entry of rows @ cols, the two-copy form of
+    the module docstring.
 
-    The first pass only screens: it takes each a-row's largest score, to
-    find bar and the rows that can reach it.  It scores the nine
+    The first pass only screens: it takes each screened a-row's largest
+    score, to find bar and the rows that can reach it.  It scores the nine
     b-dependent coefficients in float32 and adds the row's constant in
     float64 afterwards.  The a-rows go through in blocks of _CHUNK = 16, so
     a block's scores (256 KB at the reference grid) stay in cache while
@@ -308,6 +347,31 @@ def _two_sided_max(rows, cols, cols32):
     at every b, exactly, in either pass, so it needs no re-score and its
     first pair stands for it.
 
+    Most rows are never screened.  bound is each row's best purity over the
+    whole b-sphere, so no grid scores above it, and every re-score of row
+    a is at most its ceiling ub = bound + slack + _MARGIN (size + c), with
+    size the row's absolute sum and c its constant.  The margin covers the
+    rounding between the computed bound and the re-scores of the computed
+    rows and columns: given the computed al, be and t, the rows' entries
+    are off by a few u times A + B = sum al^2 + sum |be|^2 <= size / 2, the
+    columns' by a few u (their entries are at most 1), the constant and
+    lmax by a few u times c and A + B, and the unit ket's Bloch vector by
+    a few u in length; the re-score's own error is within the slack.
+    Together that is O(u) (size + c), under 100 u (size + c), and _MARGIN
+    is 2^-40, about 8 000 u; rows near the best differ by about 1e-5, so
+    the loose margin costs no pruning.  The screen takes first the block
+    with the largest ceiling and takes its max(top - screen slack) as a
+    seed bar, then screens, in order, every other block whose largest
+    ceiling reaches the seed bar; unscreened rows are not live.  This
+    changes no answer:
+    - The row a* with the largest top - screen slack, which sets bar, has
+      ub >= its best re-score >= top - screen slack >= the seed bar, so
+      its block is screened, and bar ends where a full screen puts it.
+    - A skipped row has every re-score at most its ub < the seed bar <= bar
+      <= the best re-score, so it holds neither the maximum nor a pair
+      tied with it, and the second pass settles the same pair among the
+      live rows.
+
     The error bounds of the float32 pass are relative and do not hold for
     subnormal float32 values (coefficients below about 1e-38, as off I/4 by
     1e-20).  They need not: the constant is sum_k t_k^2 / 2 >= 1/4, since
@@ -319,13 +383,25 @@ def _two_sided_max(rows, cols, cols32):
     size = np.where(exact, 0.0, np.abs(rows).sum(axis=1))
     slack = _ROUNDING * size
     screen = (_ROUNDING + _SCREEN) * size
+    ceiling = np.maximum.reduceat(
+        bound + slack + _MARGIN * (size + rows[:, -1]), np.arange(0, n_a, _CHUNK)
+    )
     rows32 = rows[:, :-1].astype(np.float32)
     buf32 = np.empty((min(_CHUNK, n_a), n_b), dtype=np.float32)
-    top32 = np.empty(n_a, dtype=np.float32)
-    for start in range(0, n_a, _CHUNK):
-        end = min(start + _CHUNK, n_a)
-        p = np.matmul(rows32[start:end], cols32, out=buf32[: end - start])
-        p.max(axis=1, out=top32[start:end])
+    top32 = np.full(n_a, -np.inf, dtype=np.float32)  # rows never screened are never live
+
+    def screen_block(i):
+        block = slice(i * _CHUNK, (i + 1) * _CHUNK)
+        p = np.matmul(rows32[block], cols32, out=buf32[: top32[block].size])
+        p.max(axis=1, out=top32[block])
+        return block
+
+    first = int(np.argmax(ceiling))
+    seed = screen_block(first)
+    seed_bar = float((top32[seed] + rows[seed, -1] - screen[seed]).max())
+    for i in np.flatnonzero(ceiling >= seed_bar):
+        if i != first:
+            screen_block(i)
     top = top32 + rows[:, -1]
     del rows32, buf32  # the second pass holds one float64 block instead
 
@@ -358,8 +434,8 @@ def _two_sided_max(rows, cols, cols32):
 
 def _search_one_sided(rho4, grid: GridSpec, side: str):
     """Grid-plus-refinement maximization of the one-sided dephased purity."""
-    th, ph = _grid_tables(grid)[:2]
-    vals = _one_sided_values(rho4, th, ph, side)
+    th, ph, proj = _grid_tables(grid)[:3]
+    vals = _one_sided_values(rho4, proj, side)
     idx = int(np.argmax(vals))
     best_t, best_p, best_v = float(th[idx]), float(ph[idx]), float(vals[idx])
     history = [best_v]
@@ -367,7 +443,7 @@ def _search_one_sided(rho4, grid: GridSpec, side: str):
     half_p = 2.0 * np.pi / grid.n_phi
     for _ in range(grid.refine_iters):
         lt, lp = _local_angles(best_t, best_p, half_t, half_p)
-        vals = _one_sided_values(rho4, lt, lp, side)
+        vals = _one_sided_values(rho4, _projectors(lt, lp), side)
         idx = int(np.argmax(vals))
         if float(vals[idx]) > best_v:
             best_t, best_p, best_v = float(lt[idx]), float(lp[idx]), float(vals[idx])
@@ -378,8 +454,8 @@ def _search_one_sided(rho4, grid: GridSpec, side: str):
 
 
 def _search_two_sided(rho4, grid: GridSpec):
-    th, ph, cols, cols32 = _grid_tables(grid)
-    val, ia, ib = _two_sided_max(_two_copy_rows(rho4, th, ph), cols, cols32)
+    th, ph, proj, cols, cols32 = _grid_tables(grid)
+    val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols, cols32)
     at, ap = float(th[ia]), float(ph[ia])
     bt, bp = float(th[ib]), float(ph[ib])
     history = [val]
@@ -389,7 +465,7 @@ def _search_two_sided(rho4, grid: GridSpec):
         lta, lpa = _local_angles(at, ap, half_t, half_p)
         ltb, lpb = _local_angles(bt, bp, half_t, half_p)
         v, ia, ib = _two_sided_max(
-            _two_copy_rows(rho4, lta, lpa), *_two_copy_cols(ltb, lpb)
+            *_two_copy_rows(rho4, _projectors(lta, lpa)), *_two_copy_cols(ltb, lpb)
         )
         if v > val:
             val = v

@@ -29,9 +29,11 @@ from geodiscord import (
 from geodiscord import oracle
 from geodiscord.oracle import (
     _conditional_a,
+    _conditional_b,
     _grid_tables,
     _kets,
     _one_sided_values,
+    _projectors,
     _rescore,
     _scan_angles,
     _trace_form,
@@ -43,6 +45,7 @@ from geodiscord.oracle import (
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 COARSE = GridSpec(n_theta=16, n_phi=32, refine_iters=2)
 COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
+COARSE_PROJ = _projectors(COARSE_TH, COARSE_PH)
 
 
 def _werner(weight):
@@ -64,7 +67,9 @@ def _qubit(rng):
 
 def _scan(rho4, th_a, ph_a, th_b, ph_b):
     """_two_sided_max over the (a, b) product of two axis sets."""
-    return _two_sided_max(_two_copy_rows(rho4, th_a, ph_a), *_two_copy_cols(th_b, ph_b))
+    return _two_sided_max(
+        *_two_copy_rows(rho4, _projectors(th_a, ph_a)), *_two_copy_cols(th_b, ph_b)
+    )
 
 
 def _float64_first_pass_max(rows, cols):
@@ -105,7 +110,7 @@ def _float64_first_pass_max(rows, cols):
 def _compressed_rows(rho4, th, ph):
     """_two_copy_rows by the literal compression: sum_k sigma~_k (x)
     sigma~_k as a 4x4 matrix, then S^T M S on the symmetric subspace."""
-    sig = _conditional_a(rho4, th, ph)
+    sig = _conditional_a(rho4, _projectors(th, ph))
     t = np.einsum("akmm->ak", sig).real
     sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
     sig -= 0.5 * t[..., None, None] * np.eye(2)
@@ -162,10 +167,55 @@ def _product_like(eps):
     return (np.eye(4) + np.kron(local, np.eye(2)) + eps * h) / 4
 
 
+def _bound_family():
+    """The fused-scan, near-I/4 and product-like states, then 50 random
+    ones: pure, rank-2, product, Werner and X states with their phases."""
+    rng = np.random.default_rng(53)
+    states = _fused_family() + _near_mixed_family()
+    states.append(validate_density(_product_like(1e-20)))
+    states += [validate_density(_pure(rng)) for _ in range(10)]
+    states += [validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(10)]
+    states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(10)]
+    states += [_werner(w) for w in rng.uniform(0.0, 1.0, size=10)]
+    states += [x_state(random_x_params(rng)) for _ in range(10)]
+    return states
+
+
+def _ceilings(rows, bound):
+    """The ceiling _two_sided_max puts on each row's re-scores."""
+    exact = ~rows[:, :-1].any(axis=1)
+    size = np.where(exact, 0.0, np.abs(rows).sum(axis=1))
+    return bound + oracle._ROUNDING * size + oracle._MARGIN * (size + rows[:, -1])
+
+
+def _cols_at(b):
+    """_two_copy_cols of the axes along the rows of b, (N, 3), and the unit axes."""
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    th = np.arccos(np.clip(b[:, 2], -1.0, 1.0))
+    return _two_copy_cols(th, np.arctan2(b[:, 1], b[:, 0]))[0], b
+
+
+def _sampled_row_max(row, cols, axes, rng):
+    """Largest purity of one side-A row over unit b, without the bound's
+    algebra: the best of the random unit axes (with their columns cols),
+    then rounds of shrinking random steps around the best so far."""
+    vals = row @ cols
+    j = int(np.argmax(vals))
+    best_val, best_b, step = float(vals[j]), axes[j], 0.1
+    for _ in range(25):
+        cols_b, b = _cols_at(best_b + step * rng.normal(size=(200, 3)))
+        vals = row @ cols_b
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_b = float(vals[j]), b[j]
+        step *= 0.5
+    return best_val
+
+
 def _unfused_objective(rho4, th, ph):
     """The full (n_a, n_b) dephased purity, built without the fused column:
     eight-column product, then the -t/2 shift, then 2 sum p^2 + sum t^2 / 2."""
-    sig = _conditional_a(rho4, th, ph)
+    sig = _conditional_a(rho4, _projectors(th, ph))
     t = np.einsum("akmm->ak", sig).real
     flat = sig.reshape(2 * th.size, 4)
     s8 = np.concatenate([flat.real, flat.imag], axis=1)
@@ -237,7 +287,7 @@ class TestObjectiveIdentity:
                 ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
                 vals = _one_sided_values(
                     state.matrix.reshape(2, 2, 2, 2),
-                    np.array([ta]), np.array([pa]), side,
+                    _projectors(np.array([ta]), np.array([pa])), side,
                 )
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
@@ -321,13 +371,67 @@ class TestTwoSidedScan:
         states.append(validate_density(_product_like(1e-20)))
         for state in states:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            rows = _two_copy_rows(rho4, COARSE_TH, COARSE_PH)
+            rows, bound = _two_copy_rows(rho4, COARSE_PROJ)
             cols, cols32 = _two_copy_cols(COARSE_TH, COARSE_PH)
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                assert _two_sided_max(rows, cols, cols32) == _float64_first_pass_max(
+                assert _two_sided_max(rows, bound, cols, cols32) == _float64_first_pass_max(
                     rows, cols
                 )
+
+    def test_row_bound_holds(self):
+        # no pair of a row, by its product or its re-score, scores above the
+        # row's ceiling; on X states some rows reach their bound on the grid,
+        # and their re-scores exceed it by rounding
+        cols = _two_copy_cols(COARSE_TH, COARSE_PH)[0]
+        for state in _bound_family():
+            rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
+            ub = _ceilings(rows, bound)
+            assert np.all((rows @ cols).max(axis=1) <= ub)
+            assert np.all(_rescore(rows.T[:, :, None], cols).max(axis=1) <= ub)
+
+    def test_row_bound_is_tight(self):
+        # the bound is the best purity over the whole b-sphere, not a
+        # relaxation: random search over b comes within 1e-6 of it
+        rng = np.random.default_rng(54)
+        cols, axes = _cols_at(rng.normal(size=(20_000, 3)))
+        states = _bound_family()
+        for k in rng.choice(len(states), size=20, replace=False):
+            th = rng.uniform(0.0, np.pi, size=2)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            rho4 = states[k].matrix.reshape(2, 2, 2, 2)
+            rows, bound = _two_copy_rows(rho4, _projectors(th, ph))
+            for row, top in zip(rows, bound):
+                assert top - _sampled_row_max(row, cols, axes, rng) <= 1e-6
+
+    def test_skipping_rows_changes_nothing(self, monkeypatch):
+        # rows whose bound cannot reach bar are never screened; the answer is
+        # the one a scan of every row gives, at any block size
+        cols, cols32 = _two_copy_cols(COARSE_TH, COARSE_PH)
+        for state in _bound_family():
+            rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
+            unbounded = np.full_like(bound, np.inf)
+            for chunk in (1, 7, 16, COARSE_TH.size):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                assert _two_sided_max(rows, bound, cols, cols32) == _two_sided_max(
+                    rows, unbounded, cols, cols32
+                )
+
+    def test_projector_table_matches_einsum(self):
+        # one matrix product with the projector table gives the conditional
+        # blocks of the three-operand contraction it replaced
+        rng = np.random.default_rng(55)
+        path = ["einsum_path", (0, 2), (0, 1)]
+        for _ in range(50):
+            rho4 = random_density(rng).matrix.reshape(2, 2, 2, 2)
+            th = rng.uniform(0.0, np.pi, size=64)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
+            u = _kets(th, ph)
+            proj = _projectors(th, ph)
+            ref_a = np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=path)
+            ref_b = np.einsum("bkm,imjn,bkn->bkij", u.conj(), rho4, u, optimize=path)
+            assert np.abs(_conditional_a(rho4, proj) - ref_a).max() <= 4e-16
+            assert np.abs(_conditional_b(rho4, proj) - ref_b).max() <= 4e-16
 
     def test_closed_form_rows_match_compression(self):
         rng = np.random.default_rng(52)
@@ -341,7 +445,7 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            rows = _two_copy_rows(rho4, th, ph)
+            rows = _two_copy_rows(rho4, _projectors(th, ph))[0]
             ref = _compressed_rows(rho4, th, ph)
             bound = 4e-16 * np.abs(ref).sum(axis=1, keepdims=True)
             assert np.all(np.abs(rows - ref) <= bound)
@@ -350,7 +454,9 @@ class TestTwoSidedScan:
         tables = _grid_tables(COARSE)
         assert _grid_tables(COARSE) is tables
         th, ph = _scan_angles(COARSE)
-        for table, built in zip(tables, (th, ph, *_two_copy_cols(th, ph))):
+        built_tables = (th, ph, _projectors(th, ph), *_two_copy_cols(th, ph))
+        assert len(tables) == len(built_tables)
+        for table, built in zip(tables, built_tables):
             assert np.array_equal(table, built)
             with pytest.raises(ValueError):
                 table[0] = 0.0
