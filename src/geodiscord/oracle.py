@@ -40,12 +40,12 @@ al_k), so the row's best is sum_k t_k^2 / 2 + 2 lmax of the 2x2 Gram
 matrix of r_+, r_-.  No grid scores above it, so a row whose bound stays
 below a pair already found cannot hold the answer and is skipped.
 
-The scan runs in two passes.  A screening pass scores in single precision
-the pairs of every row that its bound does not rule out, which only
-bounds where the best pair can lie; a second pass re-scores in double
-precision, in one fixed order, the pairs that the screen's rounding bound
-cannot rule out (``_two_sided_max``).  So the answer is the one a
-double-precision scan of every pair gives, to the bit.
+The scan is one double-precision pass over blocks of rows, the blocks
+with the highest bound first; it stops at the first block whose bound
+stays below the best pair found, and re-scores in one fixed order the
+pairs that the product's rounding bound cannot rule out
+(``_two_sided_max``).  So the answer is the one a double-precision scan
+of every pair gives, to the bit.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -62,6 +62,7 @@ the rounding of the matrix-product kernel cannot move a tie
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,11 @@ from .core import DensityMatrix4, MeasurementAxis, apply_measurement, purity
 from .measures import MeasureResult, Method, _finalize
 
 # a-axis rows per block in the two-sided scan: a block's scores, one row
-# per a-axis, 16 x 4 097 floats at the reference grid, are 256 KB in the
-# screening pass and 512 KB in the re-score pass, and stay in cache.  A
-# base screen of every block of Ginibre rows (as Bell and Werner states
-# still need), one thread: 6.0 ms at 16 rows, 9.3 ms at 8, 7.1 ms at 24,
-# 12.5 ms at 32, 13.6 ms at 64
+# per a-axis, 16 x 4 097 floats (512 KB) at the reference grid, stay in
+# cache.  A base scan that visits every block of Bell rows (as Bell and
+# Werner states need), one thread: 22.4 ms at 16 rows, 29.1 ms at 8,
+# 20.5 ms at 24, 24.0 ms at 32, 27.6 ms at 64; a base scan of a Ginibre
+# state visits one block: 0.42 ms at 16 rows, 0.41 at 8, 0.49 at 24
 _CHUNK = 16
 _LOCAL_POINTS = 11  # per-angle resolution of refinement windows
 # the symmetric subspace of two qubits as columns over |00>, |01>, |10>,
@@ -88,15 +89,8 @@ _UPPER = np.triu_indices(3, 1)
 # product, since no column entry exceeds 1; so the two differ by at most
 # 22 u times that sum
 _ROUNDING = 22 * 2.0**-53
-# the screening pass rounds the nine b-dependent coefficients of a row and
-# a column to float32 (2 u32 + u32^2 on a product, u32 = 2^-24), sums their
-# products in float32 (gamma_9 = 9 u32 / (1 - 9 u32)) and adds the constant
-# in float64 (one u): a screen entry lies within 12 u32 + u times the row's
-# absolute sum of the exact dot product, so it and the pair's re-score
-# differ by at most _ROUNDING + _SCREEN times that sum
-_SCREEN = 12 * 2.0**-24 + 2.0**-53
-# the second pass re-scores a block whole, not pair by pair, once more
-# than 1/_DENSE of its pairs are candidates: at the reference grid a whole
+# the scan re-scores a block whole, not pair by pair, once more than
+# 1/_DENSE of its pairs are candidates: at the reference grid a whole
 # 16-row block takes 0.77 ms, the same as gathering and re-scoring 7% of
 # its pairs (one thread)
 _DENSE = 16
@@ -120,6 +114,9 @@ class GridSpec:
     refine_shrink: float = 0.25
 
     def __post_init__(self):
+        for name in ("n_theta", "n_phi", "refine_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_theta < 8:
             raise ValueError("n_theta must be at least 8")
         if self.n_phi < 16:
@@ -272,24 +269,22 @@ def _two_copy_rows(rho4, proj):
 
 def _two_copy_cols(theta, phi):
     """Side-B coefficients of the two-sided purity: (10, Nb) real, the
-    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1;
-    and its first nine rows in float32, (9, Nb), for the screening pass."""
+    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1."""
     v = _kets(theta, phi)[:, 0, :]
     w = np.einsum("bm,bn->bmn", v, v).reshape(theta.size, 4) @ _SYM
     ww = np.einsum("bi,bj->bij", w, w.conj())
-    cols = np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
-    return cols, cols[:-1].astype(np.float32)
+    return np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec):
     """The base grid's angles, projectors and side-B coefficients, (theta,
-    phi, proj, cols, cols32) of _scan_angles, _projectors and
-    _two_copy_cols.  They depend on the grid alone, so each GridSpec builds
-    them once (proj is 4 097 x 8 complex numbers, 0.5 MB, at the reference
-    grid); the arrays are read-only."""
+    phi, proj, cols) of _scan_angles, _projectors and _two_copy_cols.
+    They depend on the grid alone, so each GridSpec builds them once (proj
+    is 4 097 x 8 complex numbers, 0.5 MB, and cols 4 097 x 10 reals,
+    0.3 MB, at the reference grid); the arrays are read-only."""
     th, ph = _scan_angles(grid)
-    tables = (th, ph, _projectors(th, ph), *_two_copy_cols(th, ph))
+    tables = (th, ph, _projectors(th, ph), _two_copy_cols(th, ph))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -305,118 +300,73 @@ def _rescore(x, y):
     return out
 
 
-def _two_sided_max(rows, bound, cols, cols32):
+def _two_sided_max(rows, bound, cols):
     """Max of tr(Pi(rho)^2) over the (a, b) product grid.
 
-    rows and bound are _two_copy_rows of the a-axes, cols and cols32
-    _two_copy_cols of the b-axes.  Returns (value, index_a, index_b).  The
-    purity of every pair is one entry of rows @ cols, the two-copy form of
-    the module docstring.
-
-    The first pass only screens: it takes each screened a-row's largest
-    score, to find bar and the rows that can reach it.  It scores the nine
-    b-dependent coefficients in float32 and adds the row's constant in
-    float64 afterwards.  The a-rows go through in blocks of _CHUNK = 16, so
-    a block's scores (256 KB at the reference grid) stay in cache while
-    their row maxima are taken.
+    rows and bound are _two_copy_rows of the a-axes, cols _two_copy_cols
+    of the b-axes.  Returns (value, index_a, index_b).  The purity of
+    every pair is one entry of rows @ cols, the two-copy form of the
+    module docstring.
 
     BLAS rounds a one-row block differently from a many-row one, so the
     products alone could settle an exact tie (I/4, Bell, Werner) on
     different pairs at different block sizes.  Instead, every pair is
-    settled by its re-score (_rescore, one fixed summation order).  A
-    pair's float64 product and its re-score differ by at most its row's
-    slack, _ROUNDING times the row's absolute sum; a screen score and the
-    re-score by at most its screen slack, (_ROUNDING + _SCREEN) times that
-    sum (the float32 dot product, the rounding of its inputs and the float64
-    addition of the constant, on top of the slack).  So the best re-score is
-    at least bar = max(top - screen slack), and only the rows whose screen
-    maximum lies within screen slack of bar can reach it.  The second pass
-    recomputes the float64 products of those rows block by block and
-    re-scores each block's candidate pairs, the products within slack of
-    bar (the whole block when they are many: a pair outside stays below
-    bar).  A running best is replaced only by a larger value, or an equal
-    one earlier in enumeration order, so the first maximal pair wins, the
-    same at any block size and whatever bar the screen found; memory stays
-    at one block even when every pair ties to within rounding (near I/4).
-    The running best is a re-score, so bar rises to it as the pass goes:
-    a later pair that can beat or tie it is still a candidate.  This
-    matters where the screen's slack exceeds the whole spread of values
-    (the last refinement windows): every row is live there, and only the
-    first block is re-scored whole.
-    A row whose nine non-constant coefficients are zero equals its constant
-    at every b, exactly, in either pass, so it needs no re-score and its
-    first pair stands for it.
+    settled by its re-score (_rescore, one fixed summation order): the
+    answer is the largest re-score B, at its first pair (a*, b*) in
+    enumeration order.  A pair's product p and its re-score differ by at
+    most its row's slack, _ROUNDING times the row's absolute sum, size.  A
+    row whose nine b-dependent coefficients are zero (as on I/4) equals
+    its constant c at every b, exactly, so it needs no product, and its
+    pair at b = 0 stands for it; the best of these rows seeds the running
+    best and bar.
 
-    Most rows are never screened.  bound is each row's best purity over the
-    whole b-sphere, so no grid scores above it, and every re-score of row
-    a is at most its ceiling ub = bound + slack + _MARGIN (size + c), with
-    size the row's absolute sum and c its constant.  The margin covers the
-    rounding between the computed bound and the re-scores of the computed
-    rows and columns: given the computed al, be and t, the rows' entries
-    are off by a few u times A + B = sum al^2 + sum |be|^2 <= size / 2, the
-    columns' by a few u (their entries are at most 1), the constant and
-    lmax by a few u times c and A + B, and the unit ket's Bloch vector by
-    a few u in length; the re-score's own error is within the slack.
-    Together that is O(u) (size + c), under 100 u (size + c), and _MARGIN
-    is 2^-40, about 8 000 u; rows near the best differ by about 1e-5, so
-    the loose margin costs no pruning.  The screen takes first the block
-    with the largest ceiling and takes its max(top - screen slack) as a
-    seed bar, then screens, in order, every other block whose largest
-    ceiling reaches the seed bar; unscreened rows are not live.  This
-    changes no answer:
-    - The row a* with the largest top - screen slack, which sets bar, has
-      ub >= its best re-score >= top - screen slack >= the seed bar, so
-      its block is screened, and bar ends where a full screen puts it.
-    - A skipped row has every re-score at most its ub < the seed bar <= bar
-      <= the best re-score, so it holds neither the maximum nor a pair
-      tied with it, and the second pass settles the same pair among the
-      live rows.
+    bound is each row's best purity over the whole b-sphere, so every
+    re-score of a row is at most its ceiling bound + slack + _MARGIN (size
+    + c).  The margin covers the rounding between the computed bound and
+    the re-scores of the computed rows and columns: given the computed al,
+    be and t, the rows' entries are off by a few u times A + B = sum al^2
+    + sum |be|^2 <= size / 2, the columns' by a few u (their entries are
+    at most 1), c and lmax by a few u times c and A + B, and the unit
+    ket's Bloch vector by a few u in length.  Together that is under 100 u
+    (size + c), and _MARGIN is 2^-40, about 8 000 u; rows near the best
+    differ by about 1e-5, so the loose margin costs no pruning.
 
-    The error bounds of the float32 pass are relative and do not hold for
-    subnormal float32 values (coefficients below about 1e-38, as off I/4 by
-    1e-20).  They need not: the constant is sum_k t_k^2 / 2 >= 1/4, since
-    t_+ + t_- = 1, so the float64 slack of a row is at least 22 u / 4, about
-    6e-16, far above any error gradual underflow can add to nine products.
+    The other rows go through in blocks of _CHUNK, largest ceiling first,
+    until a block's ceiling is below bar.  Per block, one matrix product
+    into a reused buffer; bar rises to max(p - slack); the pairs with p >=
+    bar - slack are re-scored (the whole block when they are many); the
+    running best (value, -a, -b) takes the largest, and bar rises to it.
+    (i) Each p - slack and each re-score is at most B, so bar <= B.
+    (ii) The block of a* has ceiling >= B >= bar, and bar only rises, so
+        the scan reaches it; there p(a*, b*) >= B - slack >= bar - slack,
+        so (a*, b*) is re-scored (an exact row a* is the seed).
+    (iii) So the running best ends at (B, -a*, -b*), whatever the block
+        order, _CHUNK or the rounding of the products: the answer of a
+        re-score of every pair.
+    Memory stays at one block of products even when every pair ties to
+    within rounding (near I/4).
     """
-    n_a, n_b = rows.shape[0], cols.shape[1]
+    n_b = cols.shape[1]
     exact = ~rows[:, :-1].any(axis=1)
     size = np.where(exact, 0.0, np.abs(rows).sum(axis=1))
     slack = _ROUNDING * size
-    screen = (_ROUNDING + _SCREEN) * size
-    ceiling = np.maximum.reduceat(
-        bound + slack + _MARGIN * (size + rows[:, -1]), np.arange(0, n_a, _CHUNK)
-    )
-    rows32 = rows[:, :-1].astype(np.float32)
-    buf32 = np.empty((min(_CHUNK, n_a), n_b), dtype=np.float32)
-    top32 = np.full(n_a, -np.inf, dtype=np.float32)  # rows never screened are never live
-
-    def screen_block(i):
-        block = slice(i * _CHUNK, (i + 1) * _CHUNK)
-        p = np.matmul(rows32[block], cols32, out=buf32[: top32[block].size])
-        p.max(axis=1, out=top32[block])
-        return block
-
-    first = int(np.argmax(ceiling))
-    seed = screen_block(first)
-    seed_bar = float((top32[seed] + rows[seed, -1] - screen[seed]).max())
-    for i in np.flatnonzero(ceiling >= seed_bar):
-        if i != first:
-            screen_block(i)
-    top = top32 + rows[:, -1]
-    del rows32, buf32  # the second pass holds one float64 block instead
-
-    bar = float((top - screen).max())
-    live = top >= bar - screen
     best = (-np.inf, 0, 0)  # (value, -index_a, -index_b), compared as a tuple
-    fixed = np.flatnonzero(live & exact)
+    fixed = np.flatnonzero(exact)
     if fixed.size:
-        a = int(fixed[np.argmax(top[fixed])])
-        best = (float(top[a]), -a, 0)
-    loose = np.flatnonzero(live & ~exact)
+        a = int(fixed[np.argmax(rows[fixed, -1])])
+        best = (float(rows[a, -1]), -a, 0)
+    bar = best[0]
+    loose = np.flatnonzero(~exact)
+    starts = np.arange(0, loose.size, _CHUNK)
+    ceiling = bound + slack + _MARGIN * (size + rows[:, -1])
+    block_ceiling = np.maximum.reduceat(ceiling[loose], starts)
     buf = np.empty((min(_CHUNK, loose.size), n_b))
-    for start in range(0, loose.size, _CHUNK):
-        sel = loose[start : start + _CHUNK]
+    for i in np.argsort(-block_ceiling, kind="stable"):
+        if block_ceiling[i] < bar:
+            break
+        sel = loose[starts[i] : starts[i] + _CHUNK]
         p = np.matmul(rows[sel], cols, out=buf[: sel.size])
+        bar = max(bar, float((p.max(axis=1) - slack[sel]).max()))
         cand = np.flatnonzero(p >= (bar - slack[sel])[:, None])
         if cand.size > p.size // _DENSE:  # cheaper to re-score the whole block
             cand = np.arange(p.size)
@@ -454,8 +404,8 @@ def _search_one_sided(rho4, grid: GridSpec, side: str):
 
 
 def _search_two_sided(rho4, grid: GridSpec):
-    th, ph, proj, cols, cols32 = _grid_tables(grid)
-    val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols, cols32)
+    th, ph, proj, cols = _grid_tables(grid)
+    val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols)
     at, ap = float(th[ia]), float(ph[ia])
     bt, bp = float(th[ib]), float(ph[ib])
     history = [val]
@@ -465,7 +415,7 @@ def _search_two_sided(rho4, grid: GridSpec):
         lta, lpa = _local_angles(at, ap, half_t, half_p)
         ltb, lpb = _local_angles(bt, bp, half_t, half_p)
         v, ia, ib = _two_sided_max(
-            *_two_copy_rows(rho4, _projectors(lta, lpa)), *_two_copy_cols(ltb, lpb)
+            *_two_copy_rows(rho4, _projectors(lta, lpa)), _two_copy_cols(ltb, lpb)
         )
         if v > val:
             val = v

@@ -68,14 +68,16 @@ def _qubit(rng):
 def _scan(rho4, th_a, ph_a, th_b, ph_b):
     """_two_sided_max over the (a, b) product of two axis sets."""
     return _two_sided_max(
-        *_two_copy_rows(rho4, _projectors(th_a, ph_a)), *_two_copy_cols(th_b, ph_b)
+        *_two_copy_rows(rho4, _projectors(th_a, ph_a)), _two_copy_cols(th_b, ph_b)
     )
 
 
-def _float64_first_pass_max(rows, cols):
-    """_two_sided_max with its first pass in float64: each row's largest
-    product, the re-score slack alone, and the same second pass and tie
-    rule.  The single-precision screen must give the same (value, a, b)."""
+def _every_row_max(rows, cols):
+    """_two_sided_max by a scan of every row in index order, without the
+    row bound, in two passes: each row's largest product sets bar, then
+    the rows that can reach it are re-scored block by block with the same
+    slack, dense rule and tie rule.  The one-pass scan must give the same
+    (value, a, b)."""
     n_a, n_b = rows.shape[0], cols.shape[1]
     exact = ~rows[:, :-1].any(axis=1)
     slack = np.where(exact, 0.0, oracle._ROUNDING * np.abs(rows).sum(axis=1))
@@ -167,12 +169,22 @@ def _product_like(eps):
     return (np.eye(4) + np.kron(local, np.eye(2)) + eps * h) / 4
 
 
+def _rotated_werner(weight, rng):
+    """A Werner state under a random local unitary: its maximum ties along
+    a curve that lies off the grid, so every row's ceiling reaches bar."""
+    u = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in "ab"]
+    uu = np.kron(*u)
+    return validate_density(uu @ _werner(weight).matrix @ uu.conj().T)
+
+
 def _bound_family():
-    """The fused-scan, near-I/4 and product-like states, then 50 random
-    ones: pure, rank-2, product, Werner and X states with their phases."""
+    """The fused-scan, near-I/4 and product-like states, a rotated 0.6
+    Werner state, then 50 random ones: pure, rank-2, product, Werner and X
+    states with their phases."""
     rng = np.random.default_rng(53)
     states = _fused_family() + _near_mixed_family()
     states.append(validate_density(_product_like(1e-20)))
+    states.append(_rotated_werner(0.6, np.random.default_rng(56)))
     states += [validate_density(_pure(rng)) for _ in range(10)]
     states += [validate_density(0.3 * _pure(rng) + 0.7 * _pure(rng)) for _ in range(10)]
     states += [validate_density(np.kron(_qubit(rng), _qubit(rng))) for _ in range(10)]
@@ -192,7 +204,7 @@ def _cols_at(b):
     """_two_copy_cols of the axes along the rows of b, (N, 3), and the unit axes."""
     b = b / np.linalg.norm(b, axis=1, keepdims=True)
     th = np.arccos(np.clip(b[:, 2], -1.0, 1.0))
-    return _two_copy_cols(th, np.arctan2(b[:, 1], b[:, 0]))[0], b
+    return _two_copy_cols(th, np.arctan2(b[:, 1], b[:, 0])), b
 
 
 def _sampled_row_max(row, cols, axes, rng):
@@ -233,6 +245,7 @@ class TestGridSpec:
     def test_defaults(self):
         g = GridSpec()
         assert (g.n_theta, g.n_phi, g.refine_iters, g.refine_shrink) == (64, 128, 6, 0.25)
+        assert GridSpec(n_theta=np.int64(16), n_phi=np.int32(32)).n_phi == 32
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -242,10 +255,13 @@ class TestGridSpec:
             {"refine_iters": -1},
             {"refine_shrink": 0.05},
             {"refine_shrink": 0.95},
+            {"n_theta": 16.0},
+            {"n_phi": 33.5},
+            {"refine_iters": 1.5},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             GridSpec(**kwargs)
 
     def test_half_sphere_for_even_azimuth(self):
@@ -362,28 +378,27 @@ class TestTwoSidedScan:
             tracemalloc.stop()
         assert peak < 16e6, peak
 
-    def test_screen_matches_float64_first_pass(self, monkeypatch):
-        # the single-precision screen only bounds where the best pair lies,
-        # so the answer is the float64 scan's to the bit; the product-like
-        # state (local Bloch vector 0.5 on A, correlations 1e-20) has
-        # b-dependent coefficients near 1e-41, subnormal in float32
+    def test_matches_every_row_scan(self, monkeypatch):
+        # visiting blocks by their ceiling and stopping early only bounds
+        # where the best pair lies, so the answer is that of a scan of every
+        # row in index order, to the bit; the product-like state (local
+        # Bloch vector 0.5 on A, correlations 1e-20) has b-dependent
+        # coefficients near 1e-41
         states = _fused_family() + _near_mixed_family()
         states.append(validate_density(_product_like(1e-20)))
+        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
         for state in states:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             rows, bound = _two_copy_rows(rho4, COARSE_PROJ)
-            cols, cols32 = _two_copy_cols(COARSE_TH, COARSE_PH)
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                assert _two_sided_max(rows, bound, cols, cols32) == _float64_first_pass_max(
-                    rows, cols
-                )
+                assert _two_sided_max(rows, bound, cols) == _every_row_max(rows, cols)
 
     def test_row_bound_holds(self):
         # no pair of a row, by its product or its re-score, scores above the
         # row's ceiling; on X states some rows reach their bound on the grid,
         # and their re-scores exceed it by rounding
-        cols = _two_copy_cols(COARSE_TH, COARSE_PH)[0]
+        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
         for state in _bound_family():
             rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
             ub = _ceilings(rows, bound)
@@ -405,17 +420,38 @@ class TestTwoSidedScan:
                 assert top - _sampled_row_max(row, cols, axes, rng) <= 1e-6
 
     def test_skipping_rows_changes_nothing(self, monkeypatch):
-        # rows whose bound cannot reach bar are never screened; the answer is
-        # the one a scan of every row gives, at any block size
-        cols, cols32 = _two_copy_cols(COARSE_TH, COARSE_PH)
+        # blocks whose bound cannot reach bar are never scanned; the answer
+        # is the one a scan of every row gives, at any block size
+        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
         for state in _bound_family():
             rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
             unbounded = np.full_like(bound, np.inf)
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                assert _two_sided_max(rows, bound, cols, cols32) == _two_sided_max(
-                    rows, unbounded, cols, cols32
-                )
+                assert _two_sided_max(rows, bound, cols) == _two_sided_max(rows, unbounded, cols)
+
+    def test_rescores_few_pairs_per_call(self, monkeypatch):
+        # off ties, the first block's products put bar within rounding of
+        # the best pair, so only a few hundred pairs are re-scored per call,
+        # base grid and refinement windows together
+        rng = np.random.default_rng(57)
+        states = [random_density(rng) for _ in range(5)]
+        states += [
+            x_state(normalize_x_phases(random_x_params(rng)).normalized)
+            for _ in range(5)
+        ]
+        counts = []
+
+        def counting_rescore(x, y):
+            vals = _rescore(x, y)
+            counts[-1] += vals.size
+            return vals
+
+        monkeypatch.setattr(oracle, "_rescore", counting_rescore)
+        for state in states:
+            counts.append(0)
+            ggqd_bruteforce(state)
+        assert max(counts) <= 1_000, counts
 
     def test_projector_table_matches_einsum(self):
         # one matrix product with the projector table gives the conditional
@@ -454,8 +490,8 @@ class TestTwoSidedScan:
         tables = _grid_tables(COARSE)
         assert _grid_tables(COARSE) is tables
         th, ph = _scan_angles(COARSE)
-        built_tables = (th, ph, _projectors(th, ph), *_two_copy_cols(th, ph))
-        assert len(tables) == len(built_tables)
+        built_tables = (th, ph, _projectors(th, ph), _two_copy_cols(th, ph))
+        assert len(tables) == len(built_tables) == 4
         for table, built in zip(tables, built_tables):
             assert np.array_equal(table, built)
             with pytest.raises(ValueError):
