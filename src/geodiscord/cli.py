@@ -40,6 +40,7 @@ from .measures import (
     gd_x,
     ggqd_general,
     ggqd_x,
+    x_measures,
 )
 from .oracle import (
     REFERENCE_GRID,
@@ -246,18 +247,10 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a family sweep."""
-
-    param: float
-    gd: float
-    ggqd: float
-
-
-# a sweep holds every row until it writes the file, about 440 bytes each
-# (200 000 steps: 8.4 s and 118 MB peak), so a mistyped 10^8 steps would
-# need about 44 GB; the count is checked before np.linspace allocates
+# a sweep holds every row's output until it writes the file, about 330
+# bytes each (100 000 steps: 1.5 s and 62 MB peak, 29 MB of it the import),
+# so a mistyped 10^8 steps would need about 33 GB; the count is checked
+# before np.linspace allocates
 _MAX_RANGE_STEPS = 100_000
 
 
@@ -308,26 +301,37 @@ def _family_point(example: str, value: float, alpha: float | None) -> XStatePara
 def cmd_sweep(args) -> int:
     try:
         grid = _parse_range(args.range)
-        records = []
-        for value in grid:
-            p = _family_point(args.example, float(value), args.alpha)
-            normalized = normalize_x_phases(p).normalized
-            gd_res = gd_x(normalized)
-            ggqd_res = ggqd_x(normalized)
-            if ggqd_res.value < gd_res.value - 1e-10:
-                raise RuntimeError(
-                    f"two-sided value fell below one-sided at param {value!r}"
-                )
-            records.append(SweepRecord(float(value), gd_res.value, ggqd_res.value))
-    except (StateFileError, DomainError) as exc:
+    except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # a family point that XStateParams rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    params = grid.tolist()
+    rejected: list[ValueError] = []
+
+    def points():
+        # built and validated one at a time, in parameter order
+        try:
+            for value in params:
+                yield _family_point(args.example, value, args.alpha)
+        except ValueError as exc:  # DomainError, or a point XStateParams rejects
+            rejected.append(exc)
+
+    gd_values, ggqd_values = x_measures(points())
+    # rows before a rejected point are checked first, so the first bad row
+    # in parameter order decides the outcome
+    below = np.flatnonzero(ggqd_values < gd_values - 1e-10)
+    if below.size:
+        raise RuntimeError(
+            f"two-sided value fell below one-sided at param {grid[below[0]]!r}"
+        )
+    if rejected:
+        print(f"error: {rejected[0]}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(rejected[0], DomainError) else EXIT_VALIDATION
 
     rows = ["param,gd,ggqd"]
-    rows.extend(f"{r.param!r},{r.gd!r},{r.ggqd!r}" for r in records)
+    rows.extend(
+        f"{a!r},{g!r},{q!r}"
+        for a, g, q in zip(params, gd_values.tolist(), ggqd_values.tolist())
+    )
     content = "\n".join(rows) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -335,7 +339,7 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    print(f"wrote {len(records)} rows to {args.out}")
+    print(f"wrote {len(params)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -17,7 +17,11 @@ a03 = rho_03, a12 = rho_12 once those are made real and nonnegative:
 with H = (1/2) sum d_i^2 - d0 d2 - d1 d3 and Q = sum d_i^2 - 1/4.  Since
 Q - H = (2(d0 + d2) - 1)^2 / 4 >= 0, the ordering of (a12 + a03)^2 against Q
 and H splits the family into three cases with per-case gap formulas; see
-:func:`classify_x_case` and :func:`gap_x`.
+:func:`classify_x_case` and :func:`gap_x`.  This arithmetic, with the clamp
+of round-off below zero, is written once, in the array-generic core
+``_x_invariants`` / ``_x_measure`` / ``_clamp``: :func:`gd_x` and
+:func:`ggqd_x` evaluate it on one state, :func:`x_measures` on many states
+in one array pass, with bit-identical values.
 
 General states get ``gd`` from the closed Bloch-space form (largest
 eigenvalue of x x^t + T T^t) and ``ggqd`` from an alternating ascent over the
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +101,18 @@ class MeasureResult:
     history: tuple[float, ...] | None = None
 
 
+def _clamp(value):
+    """Set negative round-off down to CLAMP_FLOOR to zero; array-generic.
+
+    Returns the clamped value and whether each entry was clamped.
+    """
+    clamped = (value >= CLAMP_FLOOR) & (value < 0.0)
+    return np.where(clamped, 0.0, value), clamped
+
+
 def _finalize(value: float) -> tuple[float, bool]:
-    if CLAMP_FLOOR <= value < 0.0:
-        return 0.0, True
-    return float(value), False
+    value, clamped = _clamp(value)
+    return float(value), bool(clamped)
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,7 @@ class XStateParams:
         a03 = complex(self.a03)
         a12 = complex(self.a12)
         values = d + [a03.real, a03.imag, a12.real, a12.imag]
-        if not all(np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("X-state parameters must be finite")
         if min(d) < -1e-12:
             raise ValueError(f"populations must be nonnegative, got {d}")
@@ -182,17 +195,27 @@ def _real_nonneg(value, name: str) -> float:
     return max(z.real, 0.0)
 
 
-def _x_invariants(p: XStateParams):
-    """(a03, a12, Q, H, smax) with the d1/d2 terms grouped so that the
-    expressions are bitwise symmetric under the d1 <-> d2 exchange where the
-    math is."""
-    a03 = _real_nonneg(p.a03, "a03")
-    a12 = _real_nonneg(p.a12, "a12")
-    sum_sq = p.d0 * p.d0 + (p.d1 * p.d1 + p.d2 * p.d2) + p.d3 * p.d3
-    q = sum_sq - 0.25
-    h = 0.5 * sum_sq - p.d0 * p.d2 - p.d1 * p.d3
+def _corners(p: XStateParams) -> tuple[float, float]:
+    return _real_nonneg(p.a03, "a03"), _real_nonneg(p.a12, "a12")
+
+
+def _x_invariants(d0, d1, d2, d3, a03, a12):
+    """(Q, H, (a12 + a03)^2) of phase-normalized X states; array-generic.
+
+    The d1/d2 terms are grouped so that the expressions are bitwise
+    symmetric under the d1 <-> d2 exchange where the math is.
+    """
+    sum_sq = d0 * d0 + (d1 * d1 + d2 * d2) + d3 * d3
     s = a12 + a03
-    return a03, a12, q, h, s * s
+    return sum_sq - 0.25, 0.5 * sum_sq - d0 * d2 - d1 * d3, s * s
+
+
+def _x_measure(form, a03, a12, s2):
+    """form + 2(a12^2 + a03^2) - max(form, s2), clamped; array-generic.
+
+    GD with form = H, GGQD with form = Q.  Returns (value, clamped).
+    """
+    return _clamp(form + 2.0 * (a12 * a12 + a03 * a03) - np.maximum(form, s2))
 
 
 def gd_x(p: XStateParams) -> MeasureResult:
@@ -200,11 +223,11 @@ def gd_x(p: XStateParams) -> MeasureResult:
 
     Raises ComplexInput unless a03 and a12 are real and nonnegative.
     """
-    a03, a12, _, h, s2 = _x_invariants(p)
-    value = h + 2.0 * (a12 * a12 + a03 * a03) - max(h, s2)
-    value, clamped = _finalize(value)
+    a03, a12 = _corners(p)
+    _, h, s2 = _x_invariants(p.d0, p.d1, p.d2, p.d3, a03, a12)
+    value, clamped = _x_measure(h, a03, a12, s2)
     axis = AXIS_Z if h >= s2 else AXIS_X
-    return MeasureResult(value, Method.ANALYTIC_X, (axis, None), clamped)
+    return MeasureResult(float(value), Method.ANALYTIC_X, (axis, None), bool(clamped))
 
 
 def ggqd_x(p: XStateParams) -> MeasureResult:
@@ -213,11 +236,31 @@ def ggqd_x(p: XStateParams) -> MeasureResult:
     The optimal local dephasing is along z when sum d_i^2 - 1/4 dominates
     (a12 + a03)^2 and along x otherwise.
     """
-    a03, a12, q, _, s2 = _x_invariants(p)
-    value = q + 2.0 * (a12 * a12 + a03 * a03) - max(q, s2)
-    value, clamped = _finalize(value)
+    a03, a12 = _corners(p)
+    q, _, s2 = _x_invariants(p.d0, p.d1, p.d2, p.d3, a03, a12)
+    value, clamped = _x_measure(q, a03, a12, s2)
     axes = (AXIS_Z, AXIS_Z) if q >= s2 else (AXIS_X, AXIS_X)
-    return MeasureResult(value, Method.ANALYTIC_X, axes, clamped)
+    return MeasureResult(float(value), Method.ANALYTIC_X, axes, bool(clamped))
+
+
+def x_measures(points: Iterable[XStateParams]) -> tuple[np.ndarray, np.ndarray]:
+    """GD and GGQD values of X states, in one array pass.
+
+    Corners enter by modulus, which is what ``states.normalize_x_phases``
+    leaves in them; the populations are unchanged by it.  So entry i of
+    each array equals ``gd_x`` / ``ggqd_x`` of
+    ``normalize_x_phases(points[i]).normalized``, bit for bit.  The moduli
+    are Python's ``abs``: ``np.abs`` on complex input may differ from it in
+    the last bit.  ``points`` is read once, in order, so the states of a
+    generator need not all be held at the same time.
+    """
+    rows = np.fromiter(
+        ((p.d0, p.d1, p.d2, p.d3, abs(p.a03), abs(p.a12)) for p in points),
+        dtype=np.dtype((float, 6)),
+    )
+    d0, d1, d2, d3, a03, a12 = rows.T
+    q, h, s2 = _x_invariants(d0, d1, d2, d3, a03, a12)
+    return _x_measure(h, a03, a12, s2)[0], _x_measure(q, a03, a12, s2)[0]
 
 
 def classify_x_case(p: XStateParams) -> XCase:
@@ -226,7 +269,7 @@ def classify_x_case(p: XStateParams) -> XCase:
 
     Ties go to the lower-numbered case.
     """
-    _, _, q, h, s2 = _x_invariants(p)
+    q, h, s2 = _x_invariants(p.d0, p.d1, p.d2, p.d3, *_corners(p))
     if s2 >= q:
         tag = Case.CASE1
     elif s2 >= h:

@@ -123,8 +123,9 @@ class GridSpec:
             raise ValueError("n_phi must be at least 16")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be nonnegative")
-        if not 0.1 <= self.refine_shrink <= 0.9:
-            raise ValueError("refine_shrink must lie in [0.1, 0.9]")
+        shrink = self.refine_shrink
+        if not isinstance(shrink, numbers.Real) or not 0.1 <= shrink <= 0.9:
+            raise ValueError("refine_shrink must be a number in [0.1, 0.9]")
 
 
 REFERENCE_GRID = GridSpec()

@@ -16,8 +16,12 @@ from hypothesis import strategies as st
 from geodiscord import (
     XStateParams,
     cli,
+    example1,
+    gd_x,
+    ggqd_x,
     maximally_mixed,
     measures,
+    normalize_x_phases,
     random_density,
     random_x_params,
     x_state,
@@ -265,7 +269,33 @@ class TestComputeFuzz:
         _check_compute_exit_code(tmp_path, "brute", data)
 
 
+def _scalar_sweep_csv(argv) -> bytes:
+    """The CSV that ``sweep`` with these arguments writes, built row by row
+    from the public scalar route."""
+    args = cli.build_parser().parse_args(["sweep", *argv, "--out", "-"])
+    rows = ["param,gd,ggqd"]
+    for value in cli._parse_range(args.range).tolist():
+        p = cli._family_point(args.example, value, args.alpha)
+        p = normalize_x_phases(p).normalized
+        rows.append(f"{value!r},{gd_x(p).value!r},{ggqd_x(p).value!r}")
+    return ("\n".join(rows) + "\n").encode()
+
+
 class TestSweep:
+    @pytest.mark.parametrize("argv", [
+        ["--example", "ex1", "--range", "0.01:1:100"],
+        ["--example", "ex2", "--range", "0:1:101"],
+        ["--example", "ex3", "--range", "1:0:51"],
+        ["--example", "ex4", "--range", "0:2:101"],
+        ["--example", "ex4", "--range", "0:1:33", "--alpha", "0.3"],
+        ["--example", "ex5", "--range", "0:5:501", "--alpha", "0.6"],
+        ["--example", "ex5", "--range", "0:1e308:3"],
+    ])
+    def test_rows_match_scalar_route(self, argv, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == _scalar_sweep_csv(argv)
+
     def test_csv_shape_and_minimum(self, tmp_path):
         out = tmp_path / "ex3.csv"
         code = main(["sweep", "--example", "ex3", "--range", "0:1:101",
@@ -369,6 +399,23 @@ class TestSweep:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: populations must sum to 1")
 
+    def test_guard_checks_rows_in_parameter_order(self, tmp_path, monkeypatch):
+        # a two-sided value below the one-sided one on a row before the first
+        # rejected point raises, as a row-by-row loop would, and writes nothing
+        monkeypatch.setattr(
+            cli, "example1",
+            lambda a: XStateParams(0.5, 0.5, 0.5, 0.5) if a > 0.5 else example1(a))
+
+        def inverted(points):
+            n = len(list(points))
+            return np.ones(n), np.zeros(n)
+
+        monkeypatch.setattr(cli, "x_measures", inverted)
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="two-sided value fell below one-sided at param"):
+            main(["sweep", "--example", "ex1", "--range", "0.1:1:3", "--out", str(out)])
+        assert not out.exists()
+
 
 _ODD_FLOATS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0, 1.0)
 
@@ -408,6 +455,8 @@ class TestSweepFuzz:
         assert (code == EXIT_OK) == (err.getvalue() == "")
         assert "Traceback" not in err.getvalue()
         assert not caught, [str(w.message) for w in caught]
+        if code == EXIT_OK:
+            assert (tmp_path / "sweep.csv").read_bytes() == _scalar_sweep_csv(args[1:])
 
 
 class TestVerify:

@@ -13,8 +13,11 @@ from geodiscord import (
     OptimizerDidNotConverge,
     XStateParams,
     classify_x_case,
+    example1,
     example2,
     example3,
+    example4,
+    example5,
     example_reference,
     gap_x,
     gd_dakic,
@@ -29,6 +32,7 @@ from geodiscord import (
     random_density,
     random_x_params,
     validate_density,
+    x_measures,
     x_state,
 )
 from geodiscord import measures
@@ -64,6 +68,22 @@ class TestXStateParams:
     def test_boundary_corner_allowed(self):
         p = XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.25)
         assert p.a03 == 0.25
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", range(8))
+    def test_rejects_non_finite(self, component, bad):
+        # d0..d3, then Re/Im of a03 and Re/Im of a12
+        real = [0.25, 0.25, 0.25, 0.25, 0.1, 0.0, 0.0, 0.1]
+        real[component] = bad
+        args = real[:4] + [complex(real[4], real[5]), complex(real[6], real[7])]
+        with pytest.raises(ValueError) as exc:
+            XStateParams(*args)
+        assert str(exc.value) == "X-state parameters must be finite"
+
+    def test_accepts_numpy_scalars(self):
+        p = XStateParams(*np.full(4, 0.25), np.complex128(0.1 + 0.1j), np.complex128(0.2))
+        assert (p.d0, p.a03, p.a12) == (0.25, 0.1 + 0.1j, 0.2 + 0j)
+        assert type(p.d0) is float and type(p.a03) is complex
 
 
 class TestClosedForms:
@@ -114,6 +134,81 @@ class TestClosedForms:
         assert_allclose(ggqd_x(BELL).maximizer[0].n, [0, 0, 1])
         corner = XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.25)
         assert_allclose(ggqd_x(corner).maximizer[0].n, [1, 0, 0])
+
+
+def _raw_x(p: XStateParams) -> tuple[float, float]:
+    """GD and GGQD of a phase-normalized X state before the clamp, in plain
+    Python floats: the closed forms' operation order and Python's max."""
+    a03, a12 = max(p.a03.real, 0.0), max(p.a12.real, 0.0)
+    sum_sq = p.d0 * p.d0 + (p.d1 * p.d1 + p.d2 * p.d2) + p.d3 * p.d3
+    s2 = (a12 + a03) * (a12 + a03)
+    forms = (0.5 * sum_sq - p.d0 * p.d2 - p.d1 * p.d3, sum_sq - 0.25)
+    return tuple(f + 2.0 * (a12 * a12 + a03 * a03) - max(f, s2) for f in forms)
+
+
+def _reference_x(p: XStateParams) -> tuple[float, float]:
+    """_raw_x with the chained clamp of round-off below zero."""
+    return tuple(0.0 if measures.CLAMP_FLOOR <= v < 0.0 else v for v in _raw_x(p))
+
+
+# raw GD (first two) and GGQD (last two) are negative round-off in
+# [-1e-10, 0); the last state's populations sum to 1 - 8e-13, inside
+# XStateParams' slack
+_CLAMP_WINDOW = [
+    XStateParams(0.18963704006966597, 0.310362959930334, 0.18963704006966597,
+                 0.310362959930334, 0.13232217998252171, 0.13232217998252171),
+    XStateParams(0.25, 0.25, 0.25, 0.25, 0.19515067246143744, 0.1951506724614375),
+    XStateParams(0.25 - 2e-13, 0.25 - 2e-13, 0.25 - 2e-13, 0.25 - 2e-13),
+]
+
+
+def _edge_points() -> list[XStateParams]:
+    b = 1.0 / np.sqrt(2.0)
+    period = 2.0 * np.pi / np.sqrt(6.0)
+    return [
+        XStateParams(0.25, 0.25, 0.25, 0.25), BELL,
+        example1(5e-324), example1(1.0), example2(0.0), example2(1.0),
+        example3(0.0), example3(1.0),
+        example4(b, b, 0.0), example4(b, b, period), example4(0.0, 1.0, period / 2.0),
+        example4(1.0, 0.0, 1.0), example5(0.1, 0.0), example5(0.1, 1e308),
+        example5(0.0, 0.0), example5(1.0, 3.0),
+    ] + _CLAMP_WINDOW
+
+
+class TestBatchClosedForms:
+    """x_measures and the scalar closed forms share one core, bit for bit."""
+
+    def test_clamp_window_states(self):
+        raw = np.array([_raw_x(p) for p in _CLAMP_WINDOW])
+        assert ((raw[:2, 0] >= -1e-10) & (raw[:2, 0] < 0.0)).all()
+        assert ((raw[1:, 1] >= -1e-10) & (raw[1:, 1] < 0.0)).all()
+        assert all(gd_x(p).clamped for p in _CLAMP_WINDOW[:2])
+        assert all(ggqd_x(p).clamped for p in _CLAMP_WINDOW[1:])
+
+    def test_criterion_7_pool_and_edges(self):
+        rng = np.random.default_rng(7)
+        pool = [normalize_x_phases(random_x_params(rng)).normalized for _ in range(10_000)]
+        pool += _edge_points()
+        ref = np.array([_reference_x(p) for p in pool])
+        scalar = np.array([(gd_x(p).value, ggqd_x(p).value) for p in pool])
+        gd_batch, ggqd_batch = x_measures(pool)
+        assert (scalar == ref).all()
+        assert (gd_batch == ref[:, 0]).all() and (ggqd_batch == ref[:, 1]).all()
+        # signed zeros too, which == does not tell apart
+        assert (np.signbit(gd_batch) == np.signbit(ref[:, 0])).all()
+        assert (np.signbit(ggqd_batch) == np.signbit(ref[:, 1])).all()
+
+    def test_phases_enter_by_modulus(self):
+        # unnormalized input gives the values of its phase-normalized form
+        rng = np.random.default_rng(71)
+        raw = [random_x_params(rng) for _ in range(500)]
+        norm = [normalize_x_phases(p).normalized for p in raw]
+        for got, want in zip(x_measures(raw), x_measures(norm)):
+            assert (got == want).all()
+
+    def test_empty(self):
+        gd_batch, ggqd_batch = x_measures([])
+        assert gd_batch.shape == ggqd_batch.shape == (0,)
 
 
 class TestCases:

@@ -258,6 +258,9 @@ class TestGridSpec:
             {"n_theta": 16.0},
             {"n_phi": 33.5},
             {"refine_iters": 1.5},
+            {"refine_shrink": "0.5"},
+            {"refine_shrink": None},
+            {"refine_shrink": [0.5]},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
