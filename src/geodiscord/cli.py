@@ -321,7 +321,7 @@ def cmd_sweep(args) -> int:
     below = np.flatnonzero(ggqd_values < gd_values - 1e-10)
     if below.size:
         raise RuntimeError(
-            f"two-sided value fell below one-sided at param {grid[below[0]]!r}"
+            f"two-sided value fell below one-sided at param {params[below[0]]!r}"
         )
     if rejected:
         print(f"error: {rejected[0]}", file=sys.stderr)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Validation tolerances: entrywise Hermiticity, unit trace, PSD eigenvalue
-# cutoff, and the Bloch round-trip budget.
+# Validation tolerances: entrywise Hermiticity, unit trace and PSD eigenvalue
+# cutoff.
 TOL_HERM = 1e-12
 TOL_TRACE = 1e-12
 TOL_PSD = 1e-10
-TOL_BLOCH = 1e-10
 # Imaginary residue allowed in Pauli expectation values before it is an error.
 TOL_IMAG = 1e-12
 

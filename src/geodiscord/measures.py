@@ -157,10 +157,6 @@ class XStateParams:
         object.__setattr__(self, "a03", a03)
         object.__setattr__(self, "a12", a12)
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.array([self.d0, self.d1, self.d2, self.d3])
-
 
 class Case(enum.Enum):
     """Which ordering of (a12+a03)^2 against Q and H an X state falls in."""

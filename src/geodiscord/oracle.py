@@ -7,6 +7,12 @@ share no algebra with the closed forms or the two-sided ascent in
 ``measures``; the only quantities evaluated are projector probabilities, so
 these searches serve as an independent check of everything else.
 
+Every search is one refinement driver (``_refine``): a base-grid scan, then
+rounds of shrinking windows around the best (theta, phi) center of each
+measured side.  One-sided searches measure side A; side B is reached by
+swapping the qubits, rho4.transpose(1, 0, 3, 2), which hands the side-A
+contraction the very operand a side-B one would use.
+
 The searched objective is tr(Pi(rho)^2) where Pi dephases along the product
 of the chosen axes.  Expanding Pi(rho) in the measurement eigenbasis turns
 that purity into the sum of squared outcome probabilities, which is what the
@@ -193,16 +199,9 @@ def _conditional_a(rho4, proj):
     return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
 
 
-def _conditional_b(rho4, proj):
-    """tau_l(b) = <v_l| rho |v_l> over side B, proj = _projectors of the
-    b-axes: (Nb, 2, 2, 2) complex, one matrix product."""
-    rho = rho4.transpose(1, 3, 0, 2).reshape(4, 4)  # (m n, i j)
-    return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
-
-
-def _one_sided_values(rho4, proj, side: str):
-    """tr(Pi(rho)^2) for measurements on one side, every axis of proj at once."""
-    sig = _conditional_a(rho4, proj) if side == "a" else _conditional_b(rho4, proj)
+def _one_sided_values(rho4, proj):
+    """tr(Pi(rho)^2) for side-A measurements, every axis of proj at once."""
+    sig = _conditional_a(rho4, proj)
     return (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
 
 
@@ -383,49 +382,68 @@ def _two_sided_max(rows, bound, cols):
     return best[0], -best[1], -best[2]
 
 
-def _search_one_sided(rho4, grid: GridSpec, side: str):
-    """Grid-plus-refinement maximization of the one-sided dephased purity."""
-    th, ph, proj = _grid_tables(grid)[:3]
-    vals = _one_sided_values(rho4, proj, side)
-    idx = int(np.argmax(vals))
-    best_t, best_p, best_v = float(th[idx]), float(ph[idx]), float(vals[idx])
-    history = [best_v]
-    half_t = np.pi / grid.n_theta
-    half_p = 2.0 * np.pi / grid.n_phi
-    for _ in range(grid.refine_iters):
-        lt, lp = _local_angles(best_t, best_p, half_t, half_p)
-        vals = _one_sided_values(rho4, _projectors(lt, lp), side)
-        idx = int(np.argmax(vals))
-        if float(vals[idx]) > best_v:
-            best_t, best_p, best_v = float(lt[idx]), float(lp[idx]), float(vals[idx])
-        history.append(best_v)
-        half_t *= grid.refine_shrink
-        half_p *= grid.refine_shrink
-    return best_t, best_p, best_v, history
+def _refine(grid: GridSpec, base, window):
+    """Grid-plus-refinement maximization, one (theta, phi) center per
+    measured side.
 
-
-def _search_two_sided(rho4, grid: GridSpec):
-    th, ph, proj, cols = _grid_tables(grid)
-    val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols)
-    at, ap = float(th[ia]), float(ph[ia])
-    bt, bp = float(th[ib]), float(ph[ib])
+    base(tables) scores the base grid, tables = _grid_tables(grid), and
+    window(*windows) scores one _local_angles window per side; each returns
+    (best value, one index per side).  Each round re-scans windows around
+    the current centers, moves the centers only on a strict gain, and
+    shrinks the windows by refine_shrink.  Returns (best value, centers,
+    history), history the running best, base grid first.
+    """
+    tables = _grid_tables(grid)
+    th, ph = tables[:2]
+    val, idx = base(tables)
+    centers = [(float(th[i]), float(ph[i])) for i in idx]
     history = [val]
     half_t = np.pi / grid.n_theta
     half_p = 2.0 * np.pi / grid.n_phi
     for _ in range(grid.refine_iters):
-        lta, lpa = _local_angles(at, ap, half_t, half_p)
-        ltb, lpb = _local_angles(bt, bp, half_t, half_p)
-        v, ia, ib = _two_sided_max(
-            *_two_copy_rows(rho4, _projectors(lta, lpa)), _two_copy_cols(ltb, lpb)
-        )
+        windows = [_local_angles(t, p, half_t, half_p) for t, p in centers]
+        v, idx = window(*windows)
         if v > val:
             val = v
-            at, ap = float(lta[ia]), float(lpa[ia])
-            bt, bp = float(ltb[ib]), float(lpb[ib])
+            centers = [(float(lt[i]), float(lp[i])) for (lt, lp), i in zip(windows, idx)]
         history.append(val)
         half_t *= grid.refine_shrink
         half_p *= grid.refine_shrink
-    return val, (at, ap), (bt, bp), history
+    return val, centers, history
+
+
+def _search_one_sided(rho4, grid: GridSpec):
+    """_refine of the side-A dephased purity; side B is the side-A search of
+    rho4.transpose(1, 0, 3, 2), the state with its qubits swapped."""
+
+    def best(proj):
+        vals = _one_sided_values(rho4, proj)
+        i = int(np.argmax(vals))
+        return float(vals[i]), (i,)
+
+    return _refine(grid, lambda tables: best(tables[2]), lambda w: best(_projectors(*w)))
+
+
+def _search_two_sided(rho4, grid: GridSpec):
+    """_refine of the two-sided dephased purity over (a, b) pairs."""
+
+    def best(proj, cols):
+        val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols)
+        return val, (ia, ib)
+
+    return _refine(
+        grid,
+        lambda tables: best(*tables[2:]),
+        lambda wa, wb: best(_projectors(*wa), _two_copy_cols(*wb)),
+    )
+
+
+def _result(state: DensityMatrix4, method: Method, best: float, centers, history):
+    """MeasureResult of purity(state) - best, one (theta, phi) center per
+    side (None for an unmeasured side) as its maximizer."""
+    value, clamped = _finalize(purity(state) - best)
+    axes = tuple(None if c is None else MeasurementAxis.from_angles(*c) for c in centers)
+    return MeasureResult(value, method, axes, clamped, tuple(history))
 
 
 def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -440,16 +458,8 @@ def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> M
     history holds the running best dephased purity, base grid first, one
     entry per refinement round after that.
     """
-    rho4 = state.matrix.reshape(2, 2, 2, 2)
-    val, (at, ap), (bt, bp), history = _search_two_sided(rho4, grid)
-    value, clamped = _finalize(purity(state) - val)
-    return MeasureResult(
-        value,
-        Method.BRUTE_FORCE,
-        (MeasurementAxis.from_angles(at, ap), MeasurementAxis.from_angles(bt, bp)),
-        clamped,
-        tuple(history),
-    )
+    val, centers, history = _search_two_sided(state.matrix.reshape(2, 2, 2, 2), grid)
+    return _result(state, Method.BRUTE_FORCE, val, centers, history)
 
 
 def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -457,16 +467,8 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
 
     Same scheme as :func:`ggqd_bruteforce` with a single sphere.
     """
-    rho4 = state.matrix.reshape(2, 2, 2, 2)
-    at, ap, val, history = _search_one_sided(rho4, grid, "a")
-    value, clamped = _finalize(purity(state) - val)
-    return MeasureResult(
-        value,
-        Method.BRUTE_FORCE,
-        (MeasurementAxis.from_angles(at, ap), None),
-        clamped,
-        tuple(history),
-    )
+    val, (a,), history = _search_one_sided(state.matrix.reshape(2, 2, 2, 2), grid)
+    return _result(state, Method.BRUTE_FORCE, val, (a, None), history)
 
 
 def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -474,8 +476,9 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
 
     Step 1 finds the side-A axis a* that best preserves purity, step 2
     dephases along a* (a literal apply_measurement) and finds the side-B
-    axis b* that best preserves the purity of that intermediate state.  The
-    two purity losses telescope, so the value returned is
+    axis b* that best preserves the purity of that intermediate state, as
+    the side-A search of the intermediate state with its qubits swapped.
+    The two purity losses telescope, so the value returned is
 
         purity(rho) - max_b tr(Pi_b(Pi_a*(rho))^2).
 
@@ -489,17 +492,8 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
 
     history holds the step-2 running best dephased purity.
     """
-    rho4 = state.matrix.reshape(2, 2, 2, 2)
-    at, ap, _, _ = _search_one_sided(rho4, grid, "a")
-    a_axis = MeasurementAxis.from_angles(at, ap)
-    intermediate = apply_measurement(state, a=a_axis)
-    rho4_mid = intermediate.matrix.reshape(2, 2, 2, 2)
-    bt, bp, val, history = _search_one_sided(rho4_mid, grid, "b")
-    value, clamped = _finalize(purity(state) - val)
-    return MeasureResult(
-        value,
-        Method.TQC_SEQUENTIAL,
-        (a_axis, MeasurementAxis.from_angles(bt, bp)),
-        clamped,
-        tuple(history),
-    )
+    _, (a,), _ = _search_one_sided(state.matrix.reshape(2, 2, 2, 2), grid)
+    intermediate = apply_measurement(state, a=MeasurementAxis.from_angles(*a))
+    swapped = intermediate.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2)
+    val, (b,), history = _search_one_sided(swapped, grid)
+    return _result(state, Method.TQC_SEQUENTIAL, val, (a, b), history)

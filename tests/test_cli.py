@@ -412,7 +412,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "x_measures", inverted)
         out = tmp_path / "x.csv"
-        with pytest.raises(RuntimeError, match="two-sided value fell below one-sided at param"):
+        with pytest.raises(RuntimeError, match="two-sided value fell below one-sided at param 0.1$"):
             main(["sweep", "--example", "ex1", "--range", "0.1:1:3", "--out", str(out)])
         assert not out.exists()
 

@@ -29,7 +29,6 @@ from geodiscord import (
 from geodiscord import oracle
 from geodiscord.oracle import (
     _conditional_a,
-    _conditional_b,
     _grid_tables,
     _kets,
     _one_sided_values,
@@ -299,15 +298,16 @@ class TestObjectiveIdentity:
             assert val == pytest.approx(literal, abs=1e-12)
 
     def test_one_sided_matches_literal_measurement(self):
+        # side B is the side-A scan of the state with its qubits swapped
         rng = np.random.default_rng(42)
         for side in ("a", "b"):
             for _ in range(10):
                 state = random_density(rng)
                 ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-                vals = _one_sided_values(
-                    state.matrix.reshape(2, 2, 2, 2),
-                    _projectors(np.array([ta]), np.array([pa])), side,
-                )
+                rho4 = state.matrix.reshape(2, 2, 2, 2)
+                if side == "b":
+                    rho4 = rho4.transpose(1, 0, 3, 2)
+                vals = _one_sided_values(rho4, _projectors(np.array([ta]), np.array([pa])))
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
@@ -470,7 +470,8 @@ class TestTwoSidedScan:
             ref_a = np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=path)
             ref_b = np.einsum("bkm,imjn,bkn->bkij", u.conj(), rho4, u, optimize=path)
             assert np.abs(_conditional_a(rho4, proj) - ref_a).max() <= 4e-16
-            assert np.abs(_conditional_b(rho4, proj) - ref_b).max() <= 4e-16
+            swapped = rho4.transpose(1, 0, 3, 2)
+            assert np.abs(_conditional_a(swapped, proj) - ref_b).max() <= 4e-16
 
     def test_closed_form_rows_match_compression(self):
         rng = np.random.default_rng(52)
@@ -593,6 +594,25 @@ class TestSequential:
         assert res.value == pytest.approx(0.179375, abs=1e-7)
         assert ggqd_bruteforce(st).value == pytest.approx(0.15125, abs=1e-7)
         assert res.value > ggqd_x(p).value + 0.02
+
+    def test_step_two_is_side_a_search_of_swapped_state(self):
+        # step 2 searches side B as the side-A search of the qubit-swapped
+        # intermediate state, so gd_bruteforce of that state repeats it bit
+        # for bit
+        rng = np.random.default_rng(48)
+        states = [random_density(rng) for _ in range(4)]
+        states += [x_state(random_x_params(rng)) for _ in range(4)]  # complex phases
+        states.append(x_state(BELL))
+        for grid in (COARSE, GridSpec(n_theta=16, n_phi=17, refine_iters=2)):
+            for st in states:
+                res = tqc_sequential(st, grid)
+                mid = apply_measurement(st, a=res.maximizer[0]).matrix
+                swapped = validate_density(
+                    mid.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+                )
+                ref = gd_bruteforce(swapped, grid)
+                assert res.history == ref.history
+                assert np.array_equal(res.maximizer[1].n, ref.maximizer[0].n)
 
     def test_never_below_joint_search(self):
         # fixing the first axis can only shrink the preserved purity
