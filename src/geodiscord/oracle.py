@@ -22,29 +22,25 @@ is asserted in the test suite).
 The two-sided scan covers every pair of the base grid, 4 097 x 4 097 axes
 at the reference settings, and scores a pair as one output of one real
 matrix product.  With sigma_k the side-A conditional blocks, t_k =
-tr sigma_k and sigma~_k = sigma_k - (t_k/2) I their traceless parts, a
-side-B ket v gives
+tr sigma_k and sigma~_k = sigma_k - (t_k/2) I = [[al_k, be_k], [be_k*,
+-al_k]] their traceless parts, a side-B ket of Bloch vector n has
 
-    sum_k (p_k+ - t_k/2)^2 = <v v| sum_k sigma~_k (x) sigma~_k |v v>,
+    p_k+ - t_k/2 = r_k . n,    r_k = (Re be_k, -Im be_k, al_k),
 
-and v (x) v lies in the three-dimensional symmetric subspace.  So the
-pair's purity, 2 sum_k (p_k+ - t_k/2)^2 + sum_k t_k^2 / 2, is a ten-term
-real dot product: nine numbers from side A (twice the Hermitian 3x3
-compression of sum_k sigma~_k (x) sigma~_k to that subspace), nine from
-side B (|w><w| with w = v (x) v in that basis), and a constant column that
-carries sum_k t_k^2 / 2.  The side-A compression has a closed form in six
-sums over the two outcomes (``_two_copy_rows``).  The base grid's
-projectors |u_k><u_k| and its side-B table depend on the grid alone, so
-they are built once per ``GridSpec`` (``_grid_tables``), and the
-conditional blocks of a base search are one matrix product of the
+so the pair's purity, 2 sum_k (p_k+ - t_k/2)^2 + sum_k t_k^2 / 2, is the
+quadratic form 2 n^T M n + c with M = sum_k r_k r_k^T and c = sum_k t_k^2
+/ 2.  That is a seven-term real dot product: the six distinct entries of
+M (off-diagonal ones doubled) and c from side A (``_side_a_rows``), the
+six monomials n_i n_j and a 1 from side B (``_side_b_cols``).  The base
+grid's projectors |u_k><u_k| and its side-B table depend on the grid
+alone, so they are built once per ``GridSpec`` (``_grid_tables``), and
+the conditional blocks of a base search are one matrix product of the
 projectors with rho.
 
-The same conditional blocks give each a-axis's best purity over the whole
-b-sphere exactly: with sigma~_k = [[al_k, be_k], [be_k*, -al_k]], a side-B
-ket of Bloch vector n has p_k+ - t_k/2 = r_k . n, r_k = (Re be_k, -Im be_k,
-al_k), so the row's best is sum_k t_k^2 / 2 + 2 lmax of the 2x2 Gram
-matrix of r_+, r_-.  No grid scores above it, so a row whose bound stays
-below a pair already found cannot hold the answer and is skipped.
+The same M gives each a-axis's best purity over the whole b-sphere
+exactly, c + 2 lmax(M), and lmax(M) is that of the 2x2 Gram matrix of
+r_+, r_-.  No grid scores above it, so a row whose bound stays below a
+pair already found cannot hold the answer and is skipped.
 
 The scan is one double-precision pass over blocks of rows, the blocks
 with the highest bound first; it stops at the first block whose bound
@@ -84,16 +80,13 @@ from .measures import MeasureResult, Method, _finalize
 # state visits one block: 0.42 ms at 16 rows, 0.41 at 8, 0.49 at 24
 _CHUNK = 16
 _LOCAL_POINTS = 11  # per-angle resolution of refinement windows
-# the symmetric subspace of two qubits as columns over |00>, |01>, |10>,
-# |11>: |00>, (|01> + |10>)/sqrt(2), |11>
-_SYM = np.array(
-    [[1.0, 0.0, 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, np.sqrt(0.5), 0.0], [0.0, 0.0, 1.0]]
-)
-_UPPER = np.triu_indices(3, 1)
-# a product entry and its re-score each lie within gamma_10 < 10.1 u
-# (u = 2^-53) times the row's absolute sum of the exact ten-term dot
+# the Bloch-vector component pairs (i, j) of the six distinct entries of
+# a symmetric 3x3 matrix, in the column order of the two-sided scan
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# a product entry and its re-score each lie within gamma_7 < 7.1 u
+# (u = 2^-53) times the row's absolute sum of the exact seven-term dot
 # product, since no column entry exceeds 1; so the two differ by at most
-# 22 u times that sum
+# 14.2 u times that sum, under the 22 u allowed
 _ROUNDING = 22 * 2.0**-53
 # the scan re-scores a block whole, not pair by pair, once more than
 # 1/_DENSE of its pairs are candidates: at the reference grid a whole
@@ -205,86 +198,63 @@ def _one_sided_values(rho4, proj):
     return (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
 
 
-def _trace_form(h, const):
-    """(N, 10) real: the diagonal, the real and the imaginary upper triangle
-    of a Hermitian 3x3 stack, then a constant.  For Hermitian H and W,
-    tr(H W) = sum_i H_ii W_ii + 2 sum_{i<j} (Re H_ij Re W_ij + Im H_ij Im W_ij)."""
-    upper = h[:, _UPPER[0], _UPPER[1]]
-    diag = np.einsum("nii->ni", h).real
-    return np.concatenate([diag, upper.real, upper.imag, const[:, None]], axis=1)
-
-
-def _two_copy_rows(rho4, proj):
-    """Side-A coefficients of the two-sided purity: (Na, 10) real, from
+def _side_a_rows(rho4, proj):
+    """Side-A coefficients of the two-sided purity: (Na, 7) real, from
     _projectors of the a-axes.
 
-    Row a holds H = S^T (sum_k sigma~_k (x) sigma~_k) S in trace form, its
-    off-diagonal entries doubled because tr(H W) counts them twice, then
-    sum_k t_k^2 / 4, all times 2: a row times a column of _two_copy_cols is
-    2 <w|H|w> + sum_k t_k^2 / 2, the pair's purity.  sigma~_k, the
-    Hermitian part of sigma_k less (t_k/2) I, is [[al_k, be_k], [be_k*,
-    -al_k]], and H follows in closed form from the six real numbers in
-    sum_k al_k^2, sum_k |be_k|^2, sum_k al_k be_k and sum_k be_k^2:
-
-        H = [[A,          r2 AB,      BB        ],
-             [r2 AB*,     B - A,      -r2 AB    ],
-             [BB*,        -r2 AB*,    A         ]]
-
-    with A = sum al^2, B = sum |be|^2, AB = sum al be, BB = sum be^2 and
-    r2 = sqrt(2).  The contraction leaves sigma_k Hermitian only up to
-    rounding; with that residue dropped, a row whose blocks are multiples
-    of I (every row of I/4) has nine exact zeros.
+    sigma~_k, the Hermitian part of sigma_k less (t_k/2) I, is [[al_k,
+    be_k], [be_k*, -al_k]], so a side-B ket v of Bloch vector n has p_k+
+    - t_k/2 = <v|sigma~_k|v> = r_k . n with r_k = (Re be_k, -Im be_k, al_k),
+    and the pair's purity is 2 n^T M n + c with M = sum_k r_k r_k^T and c =
+    sum_k t_k^2 / 2.  Row a holds 2 M_xx, 2 M_yy, 2 M_zz, 4 M_xy, 4 M_xz,
+    4 M_yz and c: a row times a column of _side_b_cols is the pair's
+    purity.  The contraction leaves sigma_k Hermitian only up to rounding;
+    with that residue dropped, a row whose blocks are multiples of I
+    (every row of I/4) has six exact zeros.
 
     Also returns each row's best purity over the whole b-sphere, (Na,)
-    real.  A side-B ket v with Bloch vector n has p_k+ - t_k/2 =
-    <v|sigma~_k|v> = r_k . n with r_k = (Re be_k, -Im be_k, al_k), so the
-    pair's purity is 2 n^T (sum_k r_k r_k^T) n + sum_k t_k^2 / 2, and its
-    maximum over unit n is sum_k t_k^2 / 2 + 2 lmax(G), G the 2x2 Gram
-    matrix G_kl = r_k . r_l = al_k al_l + Re(be_k be_l*).  lmax comes from
-    G's own entries, (g00 + g11)/2 + hypot((g00 - g11)/2, g01), which does
-    not cancel; no b-grid scores higher (``_two_sided_max``).
+    real: c + 2 lmax(M), and lmax(M) = lmax(G), G the 2x2 Gram matrix G_kl
+    = r_k . r_l (M = R R^T and G = R^T R with R = [r_+ r_-]).  lmax comes
+    from G's own entries, (g00 + g11)/2 + hypot((g00 - g11)/2, g01), which
+    does not cancel; no b-grid scores higher (``_two_sided_max``).
     """
-    sig = _conditional_a(rho4, proj)
-    d0, d1 = sig[..., 0, 0].real, sig[..., 1, 1].real
+    sig = _conditional_a(rho4, proj).transpose(2, 3, 1, 0)  # (m, n, k, a)
+    d0, d1 = sig[0, 0].real, sig[1, 1].real
     t = d0 + d1
-    al = 0.5 * (d0 - d1)
-    be = 0.5 * (sig[..., 0, 1] + sig[..., 1, 0].conj())
-    al2 = al * al
-    be2 = be.real**2 + be.imag**2
-    a2 = al2.sum(axis=1)
-    ab = (al * be).sum(axis=1)
-    bb = (be * be).sum(axis=1)
-    rows = np.empty((proj.shape[0], 10))
-    rows[:, 0] = rows[:, 2] = 2.0 * a2
-    rows[:, 1] = 2.0 * (be2.sum(axis=1) - a2)
-    rows[:, 3], rows[:, 6] = 4.0 * np.sqrt(2.0) * ab.real, 4.0 * np.sqrt(2.0) * ab.imag
-    rows[:, 4], rows[:, 7] = 4.0 * bb.real, 4.0 * bb.imag
-    rows[:, 5], rows[:, 8] = -rows[:, 3], -rows[:, 6]
-    rows[:, 9] = 0.5 * (t * t).sum(axis=1)
-    g = al2 + be2  # g00 and g11
-    g01 = al[:, 0] * al[:, 1] + (be[:, 0] * be[:, 1].conj()).real
-    lmax = 0.5 * (g[:, 0] + g[:, 1]) + np.hypot(0.5 * (g[:, 0] - g[:, 1]), g01)
-    return rows, rows[:, 9] + 2.0 * lmax
+    be = 0.5 * (sig[0, 1] + sig[1, 0].conj())
+    r = np.stack([be.real, -be.imag, 0.5 * (d0 - d1)])  # (i, k, a)
+    rows = np.empty((proj.shape[0], 7))
+    for col, (i, j) in enumerate(_PAIRS):
+        rows[:, col] = (2.0 if i == j else 4.0) * (r[i, 0] * r[j, 0] + r[i, 1] * r[j, 1])
+    rows[:, 6] = 0.5 * (t[0] * t[0] + t[1] * t[1])
+    g = (r * r).sum(axis=0)  # g00 and g11
+    g01 = (r[:, 0] * r[:, 1]).sum(axis=0)
+    lmax = 0.5 * (g[0] + g[1]) + np.hypot(0.5 * (g[0] - g[1]), g01)
+    return rows, rows[:, 6] + 2.0 * lmax
 
 
-def _two_copy_cols(theta, phi):
-    """Side-B coefficients of the two-sided purity: (10, Nb) real, the
-    entries of |w><w| with w = S^T (v (x) v) for the outcome-+ ket v, then 1."""
-    v = _kets(theta, phi)[:, 0, :]
-    w = np.einsum("bm,bn->bmn", v, v).reshape(theta.size, 4) @ _SYM
-    ww = np.einsum("bi,bj->bij", w, w.conj())
-    return np.ascontiguousarray(_trace_form(ww, np.ones(theta.size)).T)
+def _side_b_cols(theta, phi):
+    """Side-B coefficients of the two-sided purity: (7, Nb) real, the
+    monomials n_x^2, n_y^2, n_z^2, n_x n_y, n_x n_z, n_y n_z of the axis's
+    Bloch vector n, then 1."""
+    s = np.sin(theta)
+    n = (s * np.cos(phi), s * np.sin(phi), np.cos(theta))
+    cols = np.empty((7, theta.size))
+    for col, (i, j) in enumerate(_PAIRS):
+        cols[col] = n[i] * n[j]
+    cols[6] = 1.0
+    return cols
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec):
     """The base grid's angles, projectors and side-B coefficients, (theta,
-    phi, proj, cols) of _scan_angles, _projectors and _two_copy_cols.
+    phi, proj, cols) of _scan_angles, _projectors and _side_b_cols.
     They depend on the grid alone, so each GridSpec builds them once (proj
-    is 4 097 x 8 complex numbers, 0.5 MB, and cols 4 097 x 10 reals,
-    0.3 MB, at the reference grid); the arrays are read-only."""
+    is 4 097 x 8 complex numbers, 0.5 MB, and cols 4 097 x 7 reals,
+    0.2 MB, at the reference grid); the arrays are read-only."""
     th, ph = _scan_angles(grid)
-    tables = (th, ph, _projectors(th, ph), _two_copy_cols(th, ph))
+    tables = (th, ph, _projectors(th, ph), _side_b_cols(th, ph))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -303,9 +273,9 @@ def _rescore(x, y):
 def _two_sided_max(rows, bound, cols):
     """Max of tr(Pi(rho)^2) over the (a, b) product grid.
 
-    rows and bound are _two_copy_rows of the a-axes, cols _two_copy_cols
+    rows and bound are _side_a_rows of the a-axes, cols _side_b_cols
     of the b-axes.  Returns (value, index_a, index_b).  The purity of
-    every pair is one entry of rows @ cols, the two-copy form of the
+    every pair is one entry of rows @ cols, the Bloch-vector form of the
     module docstring.
 
     BLAS rounds a one-row block differently from a many-row one, so the
@@ -315,7 +285,7 @@ def _two_sided_max(rows, bound, cols):
     answer is the largest re-score B, at its first pair (a*, b*) in
     enumeration order.  A pair's product p and its re-score differ by at
     most its row's slack, _ROUNDING times the row's absolute sum, size.  A
-    row whose nine b-dependent coefficients are zero (as on I/4) equals
+    row whose six b-dependent coefficients are zero (as on I/4) equals
     its constant c at every b, exactly, so it needs no product, and its
     pair at b = 0 stands for it; the best of these rows seeds the running
     best and bar.
@@ -323,13 +293,13 @@ def _two_sided_max(rows, bound, cols):
     bound is each row's best purity over the whole b-sphere, so every
     re-score of a row is at most its ceiling bound + slack + _MARGIN (size
     + c).  The margin covers the rounding between the computed bound and
-    the re-scores of the computed rows and columns: given the computed al,
-    be and t, the rows' entries are off by a few u times A + B = sum al^2
-    + sum |be|^2 <= size / 2, the columns' by a few u (their entries are
-    at most 1), c and lmax by a few u times c and A + B, and the unit
-    ket's Bloch vector by a few u in length.  Together that is under 100 u
-    (size + c), and _MARGIN is 2^-40, about 8 000 u; rows near the best
-    differ by about 1e-5, so the loose margin costs no pruning.
+    the re-scores of the computed rows and columns: given the computed r_k
+    and t, the rows' entries are off by a few u times tr M = sum_k |r_k|^2
+    <= size / 2, the columns' by a few u (their entries are at most 1), c
+    and lmax by a few u times c and tr M, and the computed Bloch vector n
+    by a few u in length.  Together that is under 100 u (size + c), and
+    _MARGIN is 2^-40, about 8 000 u; rows near the best differ by about
+    1e-5, so the loose margin costs no pruning.
 
     The other rows go through in blocks of _CHUNK, largest ceiling first,
     until a block's ceiling is below bar.  Per block, one matrix product
@@ -428,13 +398,13 @@ def _search_two_sided(rho4, grid: GridSpec):
     """_refine of the two-sided dephased purity over (a, b) pairs."""
 
     def best(proj, cols):
-        val, ia, ib = _two_sided_max(*_two_copy_rows(rho4, proj), cols)
+        val, ia, ib = _two_sided_max(*_side_a_rows(rho4, proj), cols)
         return val, (ia, ib)
 
     return _refine(
         grid,
         lambda tables: best(*tables[2:]),
-        lambda wa, wb: best(_projectors(*wa), _two_copy_cols(*wb)),
+        lambda wa, wb: best(_projectors(*wa), _side_b_cols(*wb)),
     )
 
 

@@ -21,6 +21,10 @@ from .core import DensityMatrix4, validate_density
 from .measures import XStateParams
 
 
+# the diagonal and the antidiagonal of a 4x4 matrix
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
 class DomainError(ValueError):
     """A family parameter lies outside its documented domain."""
 
@@ -43,12 +47,7 @@ def as_x_params(state: DensityMatrix4, atol: float = 1e-12) -> XStateParams:
     smaller than atol in absolute value.
     """
     m = state.matrix
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            if i == j or i + j == 3:
-                continue
-            worst = max(worst, abs(m[i, j]))
+    worst = float(np.abs(m[~_X_PATTERN]).max())
     if worst > atol:
         raise ValueError(
             f"matrix is not X-shaped: off-pattern entry of magnitude {worst!r}"

@@ -1,7 +1,9 @@
 """Brute-force search behavior: exactness of the scanned objective,
 refinement monotonicity, determinism, and the sequential construction."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,16 +30,17 @@ from geodiscord import (
 )
 from geodiscord import oracle
 from geodiscord.oracle import (
+    REFERENCE_GRID,
     _conditional_a,
     _grid_tables,
     _kets,
+    _local_angles,
     _one_sided_values,
     _projectors,
     _rescore,
     _scan_angles,
-    _trace_form,
-    _two_copy_cols,
-    _two_copy_rows,
+    _side_a_rows,
+    _side_b_cols,
     _two_sided_max,
 )
 
@@ -45,6 +48,7 @@ BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 COARSE = GridSpec(n_theta=16, n_phi=32, refine_iters=2)
 COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
 COARSE_PROJ = _projectors(COARSE_TH, COARSE_PH)
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _werner(weight):
@@ -67,7 +71,7 @@ def _qubit(rng):
 def _scan(rho4, th_a, ph_a, th_b, ph_b):
     """_two_sided_max over the (a, b) product of two axis sets."""
     return _two_sided_max(
-        *_two_copy_rows(rho4, _projectors(th_a, ph_a)), _two_copy_cols(th_b, ph_b)
+        *_side_a_rows(rho4, _projectors(th_a, ph_a)), _side_b_cols(th_b, ph_b)
     )
 
 
@@ -108,18 +112,18 @@ def _every_row_max(rows, cols):
     return best[0], -best[1], -best[2]
 
 
-def _compressed_rows(rho4, th, ph):
-    """_two_copy_rows by the literal compression: sum_k sigma~_k (x)
-    sigma~_k as a 4x4 matrix, then S^T M S on the symmetric subspace."""
+def _bloch_rows(rho4, th, ph):
+    """_side_a_rows by the literal construction: r_k,i = tr(sigma_k
+    sigma_i) / 2 from Pauli traces of the conditional blocks, M = sum_k
+    r_k r_k^T, then 2 M_xx, 2 M_yy, 2 M_zz, 4 M_xy, 4 M_xz, 4 M_yz and
+    sum_k t_k^2 / 2."""
     sig = _conditional_a(rho4, _projectors(th, ph))
     t = np.einsum("akmm->ak", sig).real
-    sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
-    sig -= 0.5 * t[..., None, None] * np.eye(2)
-    m = np.einsum("akmn,akpq->ampnq", sig, sig).reshape(th.size, 16)
-    h = (m @ np.kron(oracle._SYM, oracle._SYM)).reshape(th.size, 3, 3)
-    rows = _trace_form(h, 0.25 * (t * t).sum(axis=1))
-    rows[:, 3:9] *= 2.0
-    return 2.0 * rows
+    r = 0.5 * np.einsum("akmn,inm->aki", sig, PAULI).real
+    m = np.einsum("aki,akj->aij", r, r)
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    weights = np.array([2.0, 2.0, 2.0, 4.0, 4.0, 4.0])
+    return np.concatenate([weights * m[:, i, j], 0.5 * (t * t).sum(axis=1)[:, None]], axis=1)
 
 
 def _fused_family():
@@ -200,10 +204,10 @@ def _ceilings(rows, bound):
 
 
 def _cols_at(b):
-    """_two_copy_cols of the axes along the rows of b, (N, 3), and the unit axes."""
+    """_side_b_cols of the axes along the rows of b, (N, 3), and the unit axes."""
     b = b / np.linalg.norm(b, axis=1, keepdims=True)
     th = np.arccos(np.clip(b[:, 2], -1.0, 1.0))
-    return _two_copy_cols(th, np.arctan2(b[:, 1], b[:, 0])), b
+    return _side_b_cols(th, np.arctan2(b[:, 1], b[:, 0])), b
 
 
 def _sampled_row_max(row, cols, axes, rng):
@@ -389,10 +393,10 @@ class TestTwoSidedScan:
         # coefficients near 1e-41
         states = _fused_family() + _near_mixed_family()
         states.append(validate_density(_product_like(1e-20)))
-        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
+        cols = _side_b_cols(COARSE_TH, COARSE_PH)
         for state in states:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            rows, bound = _two_copy_rows(rho4, COARSE_PROJ)
+            rows, bound = _side_a_rows(rho4, COARSE_PROJ)
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
                 assert _two_sided_max(rows, bound, cols) == _every_row_max(rows, cols)
@@ -401,9 +405,9 @@ class TestTwoSidedScan:
         # no pair of a row, by its product or its re-score, scores above the
         # row's ceiling; on X states some rows reach their bound on the grid,
         # and their re-scores exceed it by rounding
-        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
+        cols = _side_b_cols(COARSE_TH, COARSE_PH)
         for state in _bound_family():
-            rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
+            rows, bound = _side_a_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
             ub = _ceilings(rows, bound)
             assert np.all((rows @ cols).max(axis=1) <= ub)
             assert np.all(_rescore(rows.T[:, :, None], cols).max(axis=1) <= ub)
@@ -418,16 +422,16 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=2)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
             rho4 = states[k].matrix.reshape(2, 2, 2, 2)
-            rows, bound = _two_copy_rows(rho4, _projectors(th, ph))
+            rows, bound = _side_a_rows(rho4, _projectors(th, ph))
             for row, top in zip(rows, bound):
                 assert top - _sampled_row_max(row, cols, axes, rng) <= 1e-6
 
     def test_skipping_rows_changes_nothing(self, monkeypatch):
         # blocks whose bound cannot reach bar are never scanned; the answer
         # is the one a scan of every row gives, at any block size
-        cols = _two_copy_cols(COARSE_TH, COARSE_PH)
+        cols = _side_b_cols(COARSE_TH, COARSE_PH)
         for state in _bound_family():
-            rows, bound = _two_copy_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
+            rows, bound = _side_a_rows(state.matrix.reshape(2, 2, 2, 2), COARSE_PROJ)
             unbounded = np.full_like(bound, np.inf)
             for chunk in (1, 7, 16, COARSE_TH.size):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -473,7 +477,7 @@ class TestTwoSidedScan:
             swapped = rho4.transpose(1, 0, 3, 2)
             assert np.abs(_conditional_a(swapped, proj) - ref_b).max() <= 4e-16
 
-    def test_closed_form_rows_match_compression(self):
+    def test_closed_form_rows_match_pauli_traces(self):
         rng = np.random.default_rng(52)
         states = [random_density(rng) for _ in range(10)]
         states += [validate_density(_pure(rng)) for _ in range(10)]
@@ -485,16 +489,47 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            rows = _two_copy_rows(rho4, _projectors(th, ph))[0]
-            ref = _compressed_rows(rho4, th, ph)
+            rows = _side_a_rows(rho4, _projectors(th, ph))[0]
+            ref = _bloch_rows(rho4, th, ph)
             bound = 4e-16 * np.abs(ref).sum(axis=1, keepdims=True)
             assert np.all(np.abs(rows - ref) <= bound)
+
+    def test_side_b_columns_are_bounded(self):
+        # _ROUNDING's bound takes every column entry to lie in [-1, 1] and
+        # the constant column to be exactly 1: on the base grids and on
+        # refinement windows, centers and widths at random
+        rng = np.random.default_rng(58)
+        tables = [_grid_tables(REFERENCE_GRID)[3], _grid_tables(COARSE)[3]]
+        for _ in range(20):
+            center = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            halves = rng.uniform(0.0, np.pi / 8), rng.uniform(0.0, np.pi / 8)
+            tables.append(_side_b_cols(*_local_angles(*center, *halves)))
+        for cols in tables:
+            assert cols.shape[0] == 7
+            assert np.all(np.abs(cols) <= 1.0)
+            assert np.all(cols[-1] == 1.0)
+
+    def test_maximally_mixed_rows_are_exact(self, monkeypatch):
+        # the blocks of I/4 are multiples of I, so every row has six exact
+        # zeros and the scan settles it without a product or a re-score
+        def no_rescore(x, y):
+            raise AssertionError("an exact row was re-scored")
+
+        monkeypatch.setattr(oracle, "_rescore", no_rescore)
+        rho4 = maximally_mixed().matrix.reshape(2, 2, 2, 2)
+        cols = _side_b_cols(COARSE_TH, COARSE_PH)
+        for proj in (COARSE_PROJ, _grid_tables(REFERENCE_GRID)[2]):
+            rows, bound = _side_a_rows(rho4, proj)
+            assert np.all(rows[:, :6] == 0.0)
+            assert np.array_equal(bound, rows[:, 6])
+            a = int(np.argmax(rows[:, 6]))
+            assert _two_sided_max(rows, bound, cols) == (rows[a, 6], a, 0)
 
     def test_grid_tables_are_read_only(self):
         tables = _grid_tables(COARSE)
         assert _grid_tables(COARSE) is tables
         th, ph = _scan_angles(COARSE)
-        built_tables = (th, ph, _projectors(th, ph), _two_copy_cols(th, ph))
+        built_tables = (th, ph, _projectors(th, ph), _side_b_cols(th, ph))
         assert len(tables) == len(built_tables) == 4
         for table, built in zip(tables, built_tables):
             assert np.array_equal(table, built)
@@ -623,3 +658,24 @@ class TestSequential:
                 tqc_sequential(st, COARSE).value
                 >= ggqd_bruteforce(st, COARSE).value - 1e-12
             )
+
+
+class TestIndependence:
+    def test_imports_share_no_algebra_with_measures(self):
+        # the oracles check the closed forms and the ascent, so they may take
+        # from the package only the result type, the state and measurement
+        # primitives, never bloch_decompose or an evaluator
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("geodiscord")
+            ):
+                module = (node.module or "").removeprefix("geodiscord").lstrip(".")
+                imported.setdefault(module, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("geodiscord") for a in node.names)
+        assert imported == {
+            "measures": {"MeasureResult", "Method", "_finalize"},
+            "core": {"DensityMatrix4", "MeasurementAxis", "apply_measurement", "purity"},
+        }

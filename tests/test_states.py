@@ -56,7 +56,7 @@ class TestXState:
 
     def test_as_x_params_rejects_general_state(self):
         rng = np.random.default_rng(62)
-        with pytest.raises(ValueError, match="not X-shaped"):
+        with pytest.raises(ValueError, match="not X-shaped.* magnitude [0-9.e-]+$"):
             as_x_params(random_density(rng))
 
 
