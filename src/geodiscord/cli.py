@@ -373,10 +373,11 @@ def cmd_verify(config: RunConfig) -> int:
 
     X-state trials compare the closed forms against the brute-force search
     and the case-gap algebra; general-state trials compare the greedy
-    two-step search against the joint one (check c) and assert GGQD >= GD
-    off the X family (check e).  A general-state trial whose two-sided
-    optimizer raises OptimizerDidNotConverge is recorded as a failure and
-    skipped.
+    two-step search against the joint one (check c), assert GGQD >= GD
+    off the X family (check e) and compare the two-sided optimizer with the
+    brute-force search (check f, a failure beyond 1e-9).  A general-state
+    trial whose two-sided optimizer raises OptimizerDidNotConverge is
+    recorded as a failure and skipped.
 
     Check e holds for every two-qubit state.  With Bloch data x, y, T,
     product dephasing along unit axes (a, b) keeps purity
@@ -440,6 +441,7 @@ def cmd_verify(config: RunConfig) -> int:
     )
 
     worst_tqc = 0.0
+    worst_general = 0.0
     ordered = 0
     min_general_margin = math.inf
     for i in range(config.trials):
@@ -454,7 +456,8 @@ def cmd_verify(config: RunConfig) -> int:
                 f"(general state, reproducible from seed)"
             )
         try:
-            margin = ggqd_general(state).value - gd_dakic(state).value
+            general = ggqd_general(state).value
+            margin = general - gd_dakic(state).value
         except OptimizerDidNotConverge as exc:
             failures.append(f"two-sided optimizer, trial {i}: {exc} (general state)")
             continue
@@ -463,6 +466,13 @@ def cmd_verify(config: RunConfig) -> int:
             failures.append(f"check e, trial {i}: ggqd - gd = {margin!r} (general state)")
         else:
             ordered += 1
+        general_dev = abs(joint - general)
+        worst_general = max(worst_general, general_dev)
+        if general_dev > 1e-9:
+            failures.append(
+                f"check f, trial {i}: |brute force - optimizer| = {general_dev!r} "
+                f"(general state)"
+            )
 
     lines.append(
         f"check c (greedy two-step vs joint search, {config.trials} general "
@@ -471,6 +481,10 @@ def cmd_verify(config: RunConfig) -> int:
     lines.append(
         f"check e (two-sided >= one-sided, {config.trials} general states): "
         f"held on {ordered}/{config.trials}, smallest margin {min_general_margin!r}"
+    )
+    lines.append(
+        f"check f (two-sided optimizer vs brute force, {config.trials} general "
+        f"states): worst deviation {worst_general!r}"
     )
 
     lines.extend(failures)

@@ -1,6 +1,7 @@
 """File formats, command dispatch, exit codes, and output determinism."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -479,6 +480,8 @@ class TestVerify:
         assert "check c" in out and "check d" in out
         assert "check e (two-sided >= one-sided, 2 general states): held on 2/2" in out
         assert "check e, trial" not in out
+        assert "check f (two-sided optimizer vs brute force, 2 general states): " in out
+        assert "check f, trial" not in out
         assert report_path.read_text() == out
         assert code == EXIT_VERIFY_FAILED
         assert "check c, trial" in out
@@ -490,7 +493,23 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "two-sided optimizer, trial 0: best starts disagree" in out
         assert "check e (two-sided >= one-sided, 1 general states): held on 0/1" in out
+        assert "check f (two-sided optimizer vs brute force, 1 general states): " in out
+        assert "check f, trial" not in out
         assert out.endswith("FAILED\n")
+
+    def test_optimizer_off_the_oracle_is_a_failure(self, capsys, monkeypatch):
+        # check f compares ggqd_general with ggqd_bruteforce on general
+        # states; a value off by more than 1e-9 is reported per trial
+        def shifted(state):
+            res = measures.ggqd_general(state)
+            return dataclasses.replace(res, value=res.value + 1e-6)
+
+        monkeypatch.setattr(cli, "ggqd_general", shifted)
+        code = main(["verify", "--trials", "2", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
+        assert "check f, trial 0: |brute force - optimizer| = " in out
+        assert "check f, trial 1: |brute force - optimizer| = " in out
 
     def test_bad_trials_flag(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
