@@ -91,7 +91,9 @@ class MeasureResult:
     clamped    True when a tiny negative value (>= CLAMP_FLOOR) was clamped
                to exactly zero.
     history    for grid searches, the running maximum of the searched
-               purity per refinement round (base grid first).
+               purity per refinement round (base grid first); for
+               tqc_sequential that of its step 1, the side-A search,
+               since its step 2 is exact and searches no grid.
     """
 
     value: float

@@ -12,9 +12,7 @@ base-grid scan, then rounds of shrinking windows around the best axis.
 One-sided searches score an axis by its dephased purity tr(Pi(rho)^2),
 which is the sum of squared outcome probabilities in the measurement
 eigenbasis (the equality against a literal apply_measurement round trip
-is asserted in the test suite).  Side B is reached by swapping the qubits,
-rho4.transpose(1, 0, 3, 2), which hands the side-A contraction the very
-operand a side-B one would use.
+is asserted in the test suite).
 
 The two-sided search scores a side-A axis by its best purity over the
 whole b-sphere, which one identity gives exactly.  With sigma_k the side-A
@@ -31,10 +29,12 @@ Gram matrix G = R^T R (``_side_a_rows``), reached at n along R g, g the
 top eigenvector of G (``_best_b``).  So only side A is enumerated: the b
 side rests on this identity, which the test suite checks against a literal
 b-grid scan of the same conditional blocks, and the reported (a*, b*)
-reproduce the value through a literal apply_measurement.  The base grid's
-angles and projectors depend on the grid alone, so they are built once per
-``GridSpec`` (``_grid_tables``), and the conditional blocks of a base scan
-are one matrix product of the projectors with rho.
+reproduce the value through a literal apply_measurement.  The same
+identity at one fixed side-A axis is the second step of the greedy
+``tqc_sequential``, so that step is exact too.  The base grid's angles and
+projector tables depend on the grid alone, so they are built once per
+``GridSpec`` (``_grid_tables``); a scan is one matrix product of a table
+with a fixed rearrangement of rho's entries.
 
 A refinement window is a square of _LOCAL_POINTS x _LOCAL_POINTS points in
 the tangent plane at the center's Bloch vector, projected back onto the
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix4, MeasurementAxis, apply_measurement, purity
+from .core import DensityMatrix4, MeasurementAxis, purity
 from .measures import MeasureResult, Method, _finalize
 
 _LOCAL_POINTS = 11  # points per side of a refinement window
@@ -164,32 +164,55 @@ def _conditional_a(rho4, proj):
     return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
 
 
+def _weights(theta, phi):
+    """_projectors of the axes as real weights, (8, 2 N) laid out
+    (component, outcome, axis): rows 2q and 2q + 1 are the real and
+    imaginary parts of the weight of entry q = (i, j), so one real matrix
+    product gives a real-linear function of every conditional block."""
+    proj = _projectors(theta, phi).reshape(-1, 2, 4).view(float)
+    return np.ascontiguousarray(proj.transpose(2, 1, 0)).reshape(8, -1)
+
+
+def _row_map(rho4):
+    """(4, 8) real map taking _weights of side-A axes to t_k and r_k.
+
+    sigma_k(a)_mn = sum_q w_q c_q,mn with c = rho's (i j, m n) rearrangement
+    (_conditional_a), and each of t_k and the entries of r_k is Re sum_q
+    w_q z_q for a combination z of c's columns: t from c_00 + c_11, the
+    Hermitian part's off-diagonal from (c_01 + c_10)/2 and i (c_01 -
+    c_10)/2, al from (c_00 - c_11)/2.  A combination that vanishes, as
+    every one but t does for I/4, gives exact zeros.
+    """
+    c = rho4.transpose(0, 2, 1, 3).reshape(4, 4)
+    z = np.array([c[:, 0] + c[:, 3], c[:, 1] + c[:, 2], 1j * (c[:, 1] - c[:, 2]), c[:, 0] - c[:, 3]])
+    z[1:] *= 0.5
+    return z.conj().view(float)  # Re(w z) = Re w Re z - Im w Im z
+
+
 def _one_sided_values(rho4, proj):
     """tr(Pi(rho)^2) for side-A measurements, every axis of proj at once."""
     sig = _conditional_a(rho4, proj)
-    return (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
+    v = sig.view(float).reshape(len(sig), 16)
+    return np.einsum("ij,ij->i", v, v)
 
 
-def _side_a_rows(rho4, proj):
+def _side_a_rows(m, w):
     """The vectors r_k of each side-A axis, (3, 2, Na) real, and its best
-    purity over the whole b-sphere, (Na,) real, from _projectors of the
-    a-axes.
+    purity over the whole b-sphere, (Na,) real, from m = _row_map(rho4) and
+    w = _weights of the a-axes.
 
     sigma~_k, the Hermitian part of sigma_k less (t_k/2) I, is [[al_k,
     be_k], [be_k*, -al_k]], so r_k = (Re be_k, -Im be_k, al_k) and the best
     purity is c + 2 lmax(G), with c = sum_k t_k^2 / 2 and G_kl = r_k . r_l.
     lmax comes from G's own entries, (g00 + g11)/2 + hypot((g00 - g11)/2,
     g01), which does not cancel.  The contraction leaves sigma_k Hermitian
-    only up to rounding; that residue is dropped, so blocks that are
+    only up to rounding; m keeps only the Hermitian part, so blocks that are
     multiples of I (every axis of I/4) give r_k = 0 exactly.
     """
-    sig = _conditional_a(rho4, proj).transpose(2, 3, 1, 0)  # (m, n, k, a)
-    d0, d1 = sig[0, 0].real, sig[1, 1].real
-    t = d0 + d1
-    be = 0.5 * (sig[0, 1] + sig[1, 0].conj())
-    r = np.stack([be.real, -be.imag, 0.5 * (d0 - d1)])  # (i, k, a)
-    g = (r * r).sum(axis=0)  # g00 and g11
-    g01 = (r[:, 0] * r[:, 1]).sum(axis=0)
+    tr = (m @ w).reshape(4, 2, -1)  # (t, r_0, r_1, r_2), k, a
+    t, r = tr[0], tr[1:]
+    g = np.einsum("ika,ika->ka", r, r)  # g00 and g11
+    g01 = np.einsum("ia,ia->a", r[:, 0], r[:, 1])
     lmax = 0.5 * (g[0] + g[1]) + np.hypot(0.5 * (g[0] - g[1]), g01)
     return r, 0.5 * (t[0] * t[0] + t[1] * t[1]) + 2.0 * lmax
 
@@ -215,39 +238,40 @@ def _best_b(r):
     return w / np.linalg.norm(w)
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_tables(grid: GridSpec):
-    """The base grid's angles and projectors, (theta, phi, proj) of
-    _scan_angles and _projectors.  They depend on the grid alone, so each
-    GridSpec builds them once (proj is 4 097 x 8 complex numbers, 0.5 MB,
-    at the reference grid); the arrays are read-only."""
+@functools.lru_cache(maxsize=16)
+def _grid_tables(grid: GridSpec, table):
+    """The base grid's angles and the table of its axes that a scorer
+    takes, (theta, phi, table(theta, phi)) with table _projectors or
+    _weights.  They depend on the grid alone, so each GridSpec builds them
+    once (either table is 4 097 x 8 complex numbers' worth, 0.5 MB, at the
+    reference grid); the arrays are read-only."""
     th, ph = _scan_angles(grid)
-    tables = (th, ph, _projectors(th, ph))
-    for table in tables:
-        table.flags.writeable = False
+    tables = (th, ph, table(th, ph))
+    for t in tables:
+        t.flags.writeable = False
     return tables
 
 
-def _refine(grid: GridSpec, score):
+def _refine(grid: GridSpec, score, table=_projectors):
     """Grid-plus-refinement maximization over side-A axes.
 
-    score(proj) gives the value of every axis of a _projectors table.  The
-    base grid is scanned first; each round then re-scans a _local_angles
-    window around the current center, moves the center only on a strict
-    gain, and shrinks the window by refine_shrink.  The first window's
-    half-width, the larger of the base grid's polar and azimuth steps,
-    covers the neighboring base cells.  Returns (best value, (theta, phi)
-    center, history), history the running best, base grid first.
+    score(table(theta, phi)) gives the value of every axis.  The base grid
+    is scanned first; each round then re-scans a _local_angles window
+    around the current center, moves the center only on a strict gain, and
+    shrinks the window by refine_shrink.  The first window's half-width,
+    the larger of the base grid's polar and azimuth steps, covers the
+    neighboring base cells.  Returns (best value, (theta, phi) center,
+    history), history the running best, base grid first.
     """
-    th, ph, proj = _grid_tables(grid)
-    vals = score(proj)
+    th, ph, base = _grid_tables(grid, table)
+    vals = score(base)
     i = int(np.argmax(vals))
     val, center = float(vals[i]), (float(th[i]), float(ph[i]))
     history = [val]
     half = max(np.pi / grid.n_theta, 2.0 * np.pi / grid.n_phi)
     for _ in range(grid.refine_iters):
         wt, wp = _local_angles(*center, half)
-        vals = score(_projectors(wt, wp))
+        vals = score(table(wt, wp))
         i = int(np.argmax(vals))
         if vals[i] > val:
             val, center = float(vals[i]), (float(wt[i]), float(wp[i]))
@@ -257,18 +281,23 @@ def _refine(grid: GridSpec, score):
 
 
 def _search_one_sided(rho4, grid: GridSpec):
-    """_refine of the side-A dephased purity; side B is the side-A search of
-    rho4.transpose(1, 0, 3, 2), the state with its qubits swapped."""
+    """_refine of the side-A dephased purity."""
     return _refine(grid, lambda proj: _one_sided_values(rho4, proj))
+
+
+def _pair_at(m, a):
+    """Best purity over the b-sphere at the side-A axis a = (theta, phi),
+    and (a, b*) as MeasurementAxis; m = _row_map(rho4)."""
+    r, val = _side_a_rows(m, _weights(np.array([a[0]]), np.array([a[1]])))
+    return float(val[0]), (MeasurementAxis.from_angles(*a), MeasurementAxis(_best_b(r[:, :, 0])))
 
 
 def _search_two_sided(rho4, grid: GridSpec):
     """_refine of each side-A axis's best purity over the b-sphere; returns
     (best value, (a*, b*) as MeasurementAxis, history)."""
-    val, a, history = _refine(grid, lambda proj: _side_a_rows(rho4, proj)[1])
-    r, _ = _side_a_rows(rho4, _projectors(np.array([a[0]]), np.array([a[1]])))
-    axes = (MeasurementAxis.from_angles(*a), MeasurementAxis(_best_b(r[:, :, 0])))
-    return val, axes, history
+    m = _row_map(rho4)
+    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1], _weights)
+    return val, _pair_at(m, a)[1], history
 
 
 def _result(state: DensityMatrix4, method: Method, best: float, axes, history):
@@ -309,11 +338,11 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
 def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
     """Greedy two-step upper bound on the total quantum correlations.
 
-    Step 1 finds the side-A axis a* that best preserves purity, step 2
-    dephases along a* (a literal apply_measurement) and finds the side-B
-    axis b* that best preserves the purity of that intermediate state, as
-    the side-A search of the intermediate state with its qubits swapped.
-    The two purity losses telescope, so the value returned is
+    Step 1 finds the side-A axis a* that best preserves purity.  Step 2
+    finds the side-B axis b* that best preserves the purity of rho dephased
+    along a*; since Pi_b Pi_a* = Pi_a*b, that is the exact maximum over the
+    whole b-sphere at a* (the identity of the module docstring), with b* in
+    closed form.  The two purity losses telescope, so the value returned is
 
         purity(rho) - max_b tr(Pi_b(Pi_a*(rho))^2).
 
@@ -325,11 +354,10 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
     cases 1 and 3 and differ by up to 4.2e-2 in case 2; on random full-rank
     states the greedy total is above, by a median of 2e-4 and up to 1.3e-2.
 
-    history holds the step-2 running best dephased purity.
+    history holds step 1's running best one-sided dephased purity, the
+    history of :func:`gd_bruteforce`; step 2 is not a grid search.
     """
-    _, a, _ = _search_one_sided(state.matrix.reshape(2, 2, 2, 2), grid)
-    intermediate = apply_measurement(state, a=MeasurementAxis.from_angles(*a))
-    swapped = intermediate.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2)
-    val, b, history = _search_one_sided(swapped, grid)
-    axes = (MeasurementAxis.from_angles(*a), MeasurementAxis.from_angles(*b))
+    rho4 = state.matrix.reshape(2, 2, 2, 2)
+    _, a, history = _search_one_sided(rho4, grid)
+    val, axes = _pair_at(_row_map(rho4), a)
     return _result(state, Method.TQC_SEQUENTIAL, val, axes, history)
