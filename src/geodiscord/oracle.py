@@ -4,43 +4,45 @@ Reference implementations that locate the optimal local projective
 measurements by scanning an axis grid on the Bloch sphere, refining around
 the best cell, and reporting purity(rho) minus the best dephased purity.
 They share no algebra with the closed forms or the two-sided ascent in
-``measures``; everything is built from projector probabilities, so these
-searches serve as an independent check of everything else.
+``measures``; everything is built from the projectors of each axis and
+rho's entries, so these searches serve as an independent check of
+everything else.
+
+Axes are unit Bloch vectors throughout.  A side-A axis n enters as one
+real table of its projectors |u_k><u_k| = (I +/- n.sigma)/2 (``_weights``),
+and one matrix product of that table with a fixed rearrangement of rho's
+entries (``_row_map``) gives the conditional blocks sigma_k = <u_k| rho
+|u_k> as their traces t_k and the Bloch vectors r_k of their traceless
+parts: sigma_k - (t_k/2) I = [[al_k, be_k], [be_k*, -al_k]] has r_k =
+(Re be_k, -Im be_k, al_k).  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2
+Gram matrix of R = [r_+ r_-], both scores come from the same rows
+(``_side_a_rows``):
+
+- one-sided, the dephased purity tr(Pi_a(rho)^2) = sum_k tr(sigma_k^2) =
+  c + 2 tr G;
+- two-sided, the best purity over the whole b-sphere.  A side-B ket of
+  Bloch vector n has p_k+ - t_k/2 = r_k . n, so the pair's purity, 2 sum_k
+  (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = R R^T.  Its maximum over
+  unit n is c + 2 lmax(M) = c + 2 lmax(G), reached at n along R g, g the
+  top eigenvector of G (``_best_b``).
+
+The two differ by 2 lmin(G) >= 0, the paper's GD <= GGQD axis by axis.
+So only side A is enumerated: the b side rests on the identity, which the
+test suite checks against a literal b-grid scan of the same conditional
+blocks.  The suite also checks both scores against a literal
+apply_measurement at the reported axes.  The same identity
+at one fixed side-A axis is the second step of the greedy
+``tqc_sequential``, so that step is exact too.
 
 Every search is one refinement driver (``_refine``) over side-A axes: a
 base-grid scan, then rounds of shrinking windows around the best axis.
-One-sided searches score an axis by its dephased purity tr(Pi(rho)^2),
-which is the sum of squared outcome probabilities in the measurement
-eigenbasis (the equality against a literal apply_measurement round trip
-is asserted in the test suite).
-
-The two-sided search scores a side-A axis by its best purity over the
-whole b-sphere, which one identity gives exactly.  With sigma_k the side-A
-conditional blocks, t_k = tr sigma_k and sigma~_k = sigma_k - (t_k/2) I =
-[[al_k, be_k], [be_k*, -al_k]] their traceless parts, a side-B ket of
-Bloch vector n has
-
-    p_k+ - t_k/2 = r_k . n,    r_k = (Re be_k, -Im be_k, al_k),
-
-so the pair's purity, 2 sum_k (p_k+ - t_k/2)^2 + sum_k t_k^2 / 2, is
-2 n^T M n + c with M = R R^T, R = [r_+ r_-] and c = sum_k t_k^2 / 2.  Its
-maximum over unit n is c + 2 lmax(M), and lmax(M) = lmax(G) for the 2x2
-Gram matrix G = R^T R (``_side_a_rows``), reached at n along R g, g the
-top eigenvector of G (``_best_b``).  So only side A is enumerated: the b
-side rests on this identity, which the test suite checks against a literal
-b-grid scan of the same conditional blocks, and the reported (a*, b*)
-reproduce the value through a literal apply_measurement.  The same
-identity at one fixed side-A axis is the second step of the greedy
-``tqc_sequential``, so that step is exact too.  The base grid's angles and
-projector tables depend on the grid alone, so they are built once per
-``GridSpec`` (``_grid_tables``); a scan is one matrix product of a table
-with a fixed rearrangement of rho's entries.
-
-A refinement window is a square of _LOCAL_POINTS x _LOCAL_POINTS points in
-the tangent plane at the center's Bloch vector, projected back onto the
-sphere (``_local_angles``), so it covers the same patch of sphere at a
-pole as at the equator; a (theta, phi) box would shrink there to a thin
-bowtie and could miss an optimum a few hundredths of a radian off the pole.
+The base grid's unit vectors and weight table depend on the grid alone, so
+they are built once per ``GridSpec`` (``_grid_tables``).  A refinement
+window is a square of _LOCAL_POINTS x _LOCAL_POINTS points in the tangent
+plane at the center, normalised back onto the sphere (``_window``), so it
+covers the same patch of sphere at a pole as at the equator; a (theta,
+phi) box would shrink there to a thin bowtie and could miss an optimum a
+few hundredths of a radian off the pole.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -49,12 +51,14 @@ its negation define the same measurement, so for even ``n_phi`` the scan
 enumerates only polar levels up to the equator; every dropped axis has its
 antipode on the grid.  Ties always resolve to the first axis in
 enumeration order, and b* follows a fixed rule on an exact tie
-(``_best_b``), which keeps results deterministic.
+(``_best_b``), which keeps results deterministic.  Every axis of I/4 scores
+exactly 1/4, so all three searches report a* = z there, and b* = z.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -64,6 +68,9 @@ from .core import DensityMatrix4, MeasurementAxis, purity
 from .measures import MeasureResult, Method, _finalize
 
 _LOCAL_POINTS = 11  # points per side of a refinement window
+_STEPS = np.linspace(-1.0, 1.0, _LOCAL_POINTS)
+# (e_theta, e_phi) coordinates of a window's points in half-widths, row-major
+_OFFSETS = np.stack(np.meshgrid(_STEPS, _STEPS, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -124,61 +131,49 @@ def _scan_angles(grid: GridSpec):
     return np.asarray(thetas), np.asarray(phis)
 
 
-def _local_angles(theta_c, phi_c, half):
-    """Flattened window around a center, center point included: a square of
-    half-width half in the tangent plane at the center's Bloch vector,
-    projected radially back onto the sphere."""
-    st, ct, sp, cp = np.sin(theta_c), np.cos(theta_c), np.sin(phi_c), np.cos(phi_c)
-    center = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
-    s = np.linspace(-half, half, _LOCAL_POINTS)
-    v = (center + s[:, None, None] * e_theta + s[None, :, None] * e_phi).reshape(-1, 3)
-    return np.arctan2(np.hypot(v[:, 0], v[:, 1]), v[:, 2]), np.arctan2(v[:, 1], v[:, 0])
+def _window(center, half):
+    """Unit vectors of a window around a unit-vector center, center point
+    included, (_LOCAL_POINTS^2, 3): a square of half-width half in the
+    tangent plane at center, along e_theta and e_phi, normalised back onto
+    the sphere.  At a pole, where phi is undefined, phi is taken as 0."""
+    x, y, z = center.tolist()
+    st = math.hypot(x, y)
+    cp, sp = (x / st, y / st) if st > 0.0 else (1.0, 0.0)
+    v = center + (half * _OFFSETS) @ np.array([[z * cp, z * sp, -st], [-sp, cp, 0.0]])
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _kets(theta, phi):
-    """Orthonormal eigenket pair of n.sigma per axis: (N, outcome, component)."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    u = np.empty(theta.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c
-    u[..., 0, 1] = s * e
-    u[..., 1, 0] = s
-    u[..., 1, 1] = -c * e
-    return u
+# I, sigma_x, sigma_y, sigma_z; _PAULI_WEIGHTS[2q + part, a] is the real
+# (part 0) or imaginary (part 1) part of (sigma_a)_ji / 2, q = (i, j).
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_WEIGHTS = 0.5 * _PAULI.transpose(0, 2, 1).reshape(4, 4).view(float).T
 
 
-def _projectors(theta, phi):
-    """|u_k><u_k| per axis and outcome, laid out as the weights of
-    <u_k| X |u_k> = sum_ij conj(u_k[i]) u_k[j] X_ij: (N, outcome, i, j)."""
-    u = _kets(theta, phi)
-    return u.conj()[..., :, None] * u[..., None, :]
+def _weights(n):
+    """Real weight table of the projectors (I +/- n.sigma)/2 of the axes
+    along the rows of n, (8, 2 N) laid out (component, outcome, axis).
 
-
-def _conditional_a(rho4, proj):
-    """sigma_k(a) = <u_k| rho |u_k> over side A, proj = _projectors of the
-    a-axes: (Na, 2, 2, 2) complex, one matrix product."""
-    rho = rho4.transpose(0, 2, 1, 3).reshape(4, 4)  # (i j, m n)
-    return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
-
-
-def _weights(theta, phi):
-    """_projectors of the axes as real weights, (8, 2 N) laid out
-    (component, outcome, axis): rows 2q and 2q + 1 are the real and
-    imaginary parts of the weight of entry q = (i, j), so one real matrix
-    product gives a real-linear function of every conditional block."""
-    proj = _projectors(theta, phi).reshape(-1, 2, 4).view(float)
-    return np.ascontiguousarray(proj.transpose(2, 1, 0)).reshape(8, -1)
+    <u_k| X |u_k> = sum_ij P_k,ji X_ij, so the weight of entry q = (i, j) of
+    X is P_k,ji; rows 2q and 2q + 1 are its real and imaginary parts, so one
+    real matrix product gives a real-linear function of every conditional
+    block.  The table is affine in n, _PAULI_WEIGHTS times (1, +/-n): the
+    diagonal weights are 0.5 +/- 0.5 n_z, each rounded once, and such a
+    pair always sums to exactly 1, so every axis of I/4 has t_k = 1/2 and
+    scores exactly 1/4.
+    """
+    x = np.empty((4, 2, len(n)))
+    x[0] = 1.0
+    x[1:, 0] = n.T
+    x[1:, 1] = -n.T
+    return _PAULI_WEIGHTS @ x.reshape(4, -1)
 
 
 def _row_map(rho4):
     """(4, 8) real map taking _weights of side-A axes to t_k and r_k.
 
-    sigma_k(a)_mn = sum_q w_q c_q,mn with c = rho's (i j, m n) rearrangement
-    (_conditional_a), and each of t_k and the entries of r_k is Re sum_q
-    w_q z_q for a combination z of c's columns: t from c_00 + c_11, the
+    sigma_k(a)_mn = sum_q w_q c_q,mn with c = rho's (i j, m n)
+    rearrangement, and each of t_k and the entries of r_k is Re sum_q w_q
+    z_q for a combination z of c's columns: t from c_00 + c_11, the
     Hermitian part's off-diagonal from (c_01 + c_10)/2 and i (c_01 -
     c_10)/2, al from (c_00 - c_11)/2.  A combination that vanishes, as
     every one but t does for I/4, gives exact zeros.
@@ -189,32 +184,30 @@ def _row_map(rho4):
     return z.conj().view(float)  # Re(w z) = Re w Re z - Im w Im z
 
 
-def _one_sided_values(rho4, proj):
-    """tr(Pi(rho)^2) for side-A measurements, every axis of proj at once."""
-    sig = _conditional_a(rho4, proj)
-    v = sig.view(float).reshape(len(sig), 16)
-    return np.einsum("ij,ij->i", v, v)
+def _lmax(g00, g11, g01):
+    """Top eigenvalue of the symmetric 2x2 [[g00, g01], [g01, g11]] from its
+    own entries, (g00 + g11)/2 + hypot((g00 - g11)/2, g01), which does not
+    cancel for a Gram matrix."""
+    return 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
 
 
 def _side_a_rows(m, w):
-    """The vectors r_k of each side-A axis, (3, 2, Na) real, and its best
-    purity over the whole b-sphere, (Na,) real, from m = _row_map(rho4) and
-    w = _weights of the a-axes.
+    """The vectors r_k of each side-A axis, (3, 2, Na) real, and its two
+    scores, (Na,) real each, from m = _row_map(rho4) and w = _weights of the
+    a-axes: the one-sided dephased purity c + 2 tr G and the two-sided best
+    purity over the whole b-sphere c + 2 lmax(G), with c = sum_k t_k^2 / 2
+    and G_kl = r_k . r_l.
 
-    sigma~_k, the Hermitian part of sigma_k less (t_k/2) I, is [[al_k,
-    be_k], [be_k*, -al_k]], so r_k = (Re be_k, -Im be_k, al_k) and the best
-    purity is c + 2 lmax(G), with c = sum_k t_k^2 / 2 and G_kl = r_k . r_l.
-    lmax comes from G's own entries, (g00 + g11)/2 + hypot((g00 - g11)/2,
-    g01), which does not cancel.  The contraction leaves sigma_k Hermitian
-    only up to rounding; m keeps only the Hermitian part, so blocks that are
-    multiples of I (every axis of I/4) give r_k = 0 exactly.
+    The contraction leaves sigma_k Hermitian only up to rounding; m keeps
+    only the Hermitian part, so blocks that are multiples of I (every axis
+    of I/4) give r_k = 0 exactly.
     """
     tr = (m @ w).reshape(4, 2, -1)  # (t, r_0, r_1, r_2), k, a
     t, r = tr[0], tr[1:]
     g = np.einsum("ika,ika->ka", r, r)  # g00 and g11
     g01 = np.einsum("ia,ia->a", r[:, 0], r[:, 1])
-    lmax = 0.5 * (g[0] + g[1]) + np.hypot(0.5 * (g[0] - g[1]), g01)
-    return r, 0.5 * (t[0] * t[0] + t[1] * t[1]) + 2.0 * lmax
+    c = 0.5 * (t[0] * t[0] + t[1] * t[1])
+    return r, c + 2.0 * (g[0] + g[1]), c + 2.0 * _lmax(g[0], g[1], g01)
 
 
 def _best_b(r):
@@ -231,73 +224,60 @@ def _best_b(r):
     """
     g00, g11 = (r * r).sum(axis=0)
     g01 = float(r[:, 0] @ r[:, 1])
-    lam = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
+    lam = _lmax(g00, g11, g01)
     w = r @ ((lam - g11, g01) if g00 >= g11 else (g01, lam - g00))
     if not w.any():
         w = r[:, 0] if g00 > 0.0 else np.array([0.0, 0.0, 1.0])
     return w / np.linalg.norm(w)
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_tables(grid: GridSpec, table):
-    """The base grid's angles and the table of its axes that a scorer
-    takes, (theta, phi, table(theta, phi)) with table _projectors or
-    _weights.  They depend on the grid alone, so each GridSpec builds them
-    once (either table is 4 097 x 8 complex numbers' worth, 0.5 MB, at the
-    reference grid); the arrays are read-only."""
+@functools.lru_cache(maxsize=8)
+def _grid_tables(grid: GridSpec):
+    """The base grid's axes as unit vectors, (N, 3), and their _weights
+    table.  They depend on the grid alone, so each GridSpec builds them once
+    (4 097 axes, 0.6 MB, at the reference grid); the arrays are read-only."""
     th, ph = _scan_angles(grid)
-    tables = (th, ph, table(th, ph))
+    st = np.sin(th)
+    n = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
+    tables = (n, _weights(n))
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _refine(grid: GridSpec, score, table=_projectors):
+def _refine(grid: GridSpec, score):
     """Grid-plus-refinement maximization over side-A axes.
 
-    score(table(theta, phi)) gives the value of every axis.  The base grid
-    is scanned first; each round then re-scans a _local_angles window
-    around the current center, moves the center only on a strict gain, and
+    score(_weights(n)) gives the value of every axis n.  The base grid is
+    scanned first; each round then re-scans a _window around the current
+    center, a unit vector, moves the center only on a strict gain, and
     shrinks the window by refine_shrink.  The first window's half-width,
     the larger of the base grid's polar and azimuth steps, covers the
-    neighboring base cells.  Returns (best value, (theta, phi) center,
+    neighboring base cells.  Returns (best value, unit-vector center,
     history), history the running best, base grid first.
     """
-    th, ph, base = _grid_tables(grid, table)
+    n, base = _grid_tables(grid)
     vals = score(base)
     i = int(np.argmax(vals))
-    val, center = float(vals[i]), (float(th[i]), float(ph[i]))
+    val, center = float(vals[i]), n[i]
     history = [val]
     half = max(np.pi / grid.n_theta, 2.0 * np.pi / grid.n_phi)
     for _ in range(grid.refine_iters):
-        wt, wp = _local_angles(*center, half)
-        vals = score(table(wt, wp))
+        pts = _window(center, half)
+        vals = score(_weights(pts))
         i = int(np.argmax(vals))
         if vals[i] > val:
-            val, center = float(vals[i]), (float(wt[i]), float(wp[i]))
+            val, center = float(vals[i]), pts[i]
         history.append(val)
         half *= grid.refine_shrink
     return val, center, history
 
 
-def _search_one_sided(rho4, grid: GridSpec):
-    """_refine of the side-A dephased purity."""
-    return _refine(grid, lambda proj: _one_sided_values(rho4, proj))
-
-
 def _pair_at(m, a):
-    """Best purity over the b-sphere at the side-A axis a = (theta, phi),
-    and (a, b*) as MeasurementAxis; m = _row_map(rho4)."""
-    r, val = _side_a_rows(m, _weights(np.array([a[0]]), np.array([a[1]])))
-    return float(val[0]), (MeasurementAxis.from_angles(*a), MeasurementAxis(_best_b(r[:, :, 0])))
-
-
-def _search_two_sided(rho4, grid: GridSpec):
-    """_refine of each side-A axis's best purity over the b-sphere; returns
-    (best value, (a*, b*) as MeasurementAxis, history)."""
-    m = _row_map(rho4)
-    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1], _weights)
-    return val, _pair_at(m, a)[1], history
+    """Best purity over the b-sphere at the side-A unit vector a, and (a,
+    b*) as MeasurementAxis; m = _row_map(rho4)."""
+    r, _, val = _side_a_rows(m, _weights(a[None]))
+    return float(val[0]), (MeasurementAxis(a), MeasurementAxis(_best_b(r[:, :, 0])))
 
 
 def _result(state: DensityMatrix4, method: Method, best: float, axes, history):
@@ -320,8 +300,9 @@ def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> M
     history holds the running best dephased purity, base grid first, one
     entry per refinement round after that.
     """
-    val, axes, history = _search_two_sided(state.matrix.reshape(2, 2, 2, 2), grid)
-    return _result(state, Method.BRUTE_FORCE, val, axes, history)
+    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[2])
+    return _result(state, Method.BRUTE_FORCE, val, _pair_at(m, a)[1], history)
 
 
 def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -330,9 +311,9 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
     Same grid and refinement as :func:`ggqd_bruteforce`, scoring each axis
     by its own dephased purity.
     """
-    val, a, history = _search_one_sided(state.matrix.reshape(2, 2, 2, 2), grid)
-    axes = (MeasurementAxis.from_angles(*a), None)
-    return _result(state, Method.BRUTE_FORCE, val, axes, history)
+    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1])
+    return _result(state, Method.BRUTE_FORCE, val, (MeasurementAxis(a), None), history)
 
 
 def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -357,7 +338,7 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
     history holds step 1's running best one-sided dephased purity, the
     history of :func:`gd_bruteforce`; step 2 is not a grid search.
     """
-    rho4 = state.matrix.reshape(2, 2, 2, 2)
-    _, a, history = _search_one_sided(rho4, grid)
-    val, axes = _pair_at(_row_map(rho4), a)
+    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    _, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1])
+    val, axes = _pair_at(m, a)
     return _result(state, Method.TQC_SEQUENTIAL, val, axes, history)

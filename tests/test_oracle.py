@@ -33,24 +33,63 @@ from geodiscord import oracle
 from geodiscord.oracle import (
     REFERENCE_GRID,
     _best_b,
-    _conditional_a,
     _grid_tables,
-    _kets,
-    _local_angles,
-    _one_sided_values,
-    _projectors,
     _row_map,
     _scan_angles,
     _side_a_rows,
     _weights,
+    _window,
 )
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 COARSE = GridSpec(n_theta=16, n_phi=32, refine_iters=2)
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _unit(theta, phi):
+    """Unit Bloch vectors of axes given by their angles, (..., 3)."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _kets(theta, phi):
+    """Orthonormal eigenket pair of n.sigma per axis, from half angles:
+    (N, outcome, component)."""
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    e = np.exp(1j * phi)
+    u = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    u[..., 0, 0] = c
+    u[..., 0, 1] = s * e
+    u[..., 1, 0] = s
+    u[..., 1, 1] = -c * e
+    return u
+
+
+def _projectors(theta, phi):
+    """|u_k><u_k| per axis and outcome from _kets, laid out as the weights of
+    <u_k| X |u_k> = sum_ij conj(u_k[i]) u_k[j] X_ij: (N, outcome, i, j)."""
+    u = _kets(theta, phi)
+    return u.conj()[..., :, None] * u[..., None, :]
+
+
+def _conditional_a(rho4, proj):
+    """sigma_k(a) = <u_k| rho |u_k> over side A, proj = _projectors of the
+    a-axes: (Na, 2, 2, 2) complex, one matrix product."""
+    rho = rho4.transpose(0, 2, 1, 3).reshape(4, 4)  # (i j, m n)
+    return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
+
+
+def _ket_weights(theta, phi):
+    """_projectors in the layout of oracle._weights, (8, 2 N): rows 2q and
+    2q + 1 the real and imaginary parts of the weight of entry q = (i, j)."""
+    proj = _projectors(theta, phi).reshape(-1, 2, 4).view(float)
+    return np.ascontiguousarray(proj.transpose(2, 1, 0)).reshape(8, -1)
+
+
 COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
 COARSE_PROJ = _projectors(COARSE_TH, COARSE_PH)
-COARSE_W = _weights(COARSE_TH, COARSE_PH)
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+COARSE_W = _weights(_unit(COARSE_TH, COARSE_PH))
 
 
 def _werner(weight):
@@ -248,26 +287,33 @@ class TestGridSpec:
         th, _ = _scan_angles(GridSpec(n_theta=16, n_phi=17))
         assert th.max() == pytest.approx(np.pi)
 
-    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.3, np.pi / 2, np.pi - 1e-3])
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.3, np.pi / 2, np.pi - 1e-3, np.pi])
     def test_windows_are_tangent_squares(self, theta):
         # a window covers the same patch of sphere wherever its center lies:
         # at a pole too, where a (theta, phi) box would be a thin bowtie
         phi, half = 4.33, np.pi / 64
-        wt, wp = _local_angles(theta, phi, half)
         n = MeasurementAxis.from_angles(theta, phi).n
-        pts = np.stack([np.sin(wt) * np.cos(wp), np.sin(wt) * np.sin(wp), np.cos(wt)], axis=1)
+        pts = _window(n, half)
         dist = np.arccos(np.clip(pts @ n, -1.0, 1.0))
-        assert wt.size == oracle._LOCAL_POINTS**2
+        assert pts.shape == (oracle._LOCAL_POINTS**2, 3)
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 4e-16
         assert dist.min() <= 1e-7
         assert dist.max() == pytest.approx(np.arctan(half * np.sqrt(2.0)), rel=1e-9)
         # the edge midpoints sit at distance arctan(half) in four tangent
-        # directions 90 degrees apart
+        # directions 90 degrees apart: -e_theta, +e_theta, -e_phi, +e_phi,
+        # with phi taken as 0 where it is undefined (sin(theta) = 0)
         side, mid = oracle._LOCAL_POINTS, oracle._LOCAL_POINTS // 2
         edges = pts.reshape(side, side, 3)[[0, -1, mid, mid], [mid, mid, 0, -1]]
         tangent = edges - (edges @ n)[:, None] * n
         assert np.allclose(np.linalg.norm(tangent, axis=1), np.sin(np.arctan(half)), rtol=1e-9)
         assert np.allclose(tangent[0] + tangent[1], 0.0, atol=1e-12)
         assert abs(tangent[0] @ tangent[2]) <= 1e-12
+        if np.hypot(n[0], n[1]) == 0.0:
+            phi = 0.0
+        e_theta = [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)]
+        e_phi = [-np.sin(phi), np.cos(phi), 0.0]
+        unit = tangent / np.linalg.norm(tangent, axis=1, keepdims=True)
+        assert np.allclose(unit[[1, 3]], [e_theta, e_phi], atol=1e-12)
 
 
 class TestObjectiveIdentity:
@@ -277,8 +323,8 @@ class TestObjectiveIdentity:
         for _ in range(20):
             state = random_density(rng)
             ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            r, bound = _side_a_rows(
-                _row_map(state.matrix.reshape(2, 2, 2, 2)), _weights(np.array([ta]), np.array([pa]))
+            r, _, bound = _side_a_rows(
+                _row_map(state.matrix.reshape(2, 2, 2, 2)), _weights(_unit(np.array([ta]), np.array([pa])))
             )
             literal = purity(
                 apply_measurement(
@@ -299,7 +345,7 @@ class TestObjectiveIdentity:
                 rho4 = state.matrix.reshape(2, 2, 2, 2)
                 if side == "b":
                     rho4 = rho4.transpose(1, 0, 3, 2)
-                vals = _one_sided_values(rho4, _projectors(np.array([ta]), np.array([pa])))
+                vals = _side_a_rows(_row_map(rho4), _weights(_unit(np.array([ta]), np.array([pa]))))[1]
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
@@ -310,13 +356,17 @@ class TestTwoSidedScan:
     def test_fused_scan_matches_unfused_objective(self):
         # the scan fuses the b side into each a-axis's score: the purity of
         # the pair (a, b*), built from outcome probabilities alone, is that
-        # score, on degenerate landscapes and near I/4 too
+        # score, on degenerate landscapes and near I/4 too; the one-sided
+        # score exceeds it by 2 lmin(G) >= 0, GD <= GGQD axis by axis
         for state in _fused_family() + _near_mixed_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            r, bound = _side_a_rows(_row_map(rho4), COARSE_W)
+            r, one, bound = _side_a_rows(_row_map(rho4), COARSE_W)
             b = np.array([_best_b(r[:, :, i]) for i in range(COARSE_TH.size)])
             at_best = _outcome_purity(_conditional_a(rho4, COARSE_PROJ), _kets(*_angles(b)))
             assert np.abs(at_best - bound).max() <= 1e-15
+            lmin = np.linalg.eigvalsh(np.einsum("ika,ila->akl", r, r))[:, 0]
+            assert np.abs(one - bound - 2.0 * lmin).max() <= 1e-15
+            assert np.all(one - bound >= -1e-15)
 
     def test_row_bound_holds(self):
         # no b of a literal b-grid scan of the same conditional blocks scores
@@ -324,7 +374,7 @@ class TestTwoSidedScan:
         # on the grid, so only rounding separates the two
         for state in _bound_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            bound = _side_a_rows(_row_map(rho4), COARSE_W)[1]
+            bound = _side_a_rows(_row_map(rho4), COARSE_W)[2]
             grid = _literal_pairs(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
             assert np.all(grid.max(axis=1) <= bound + 1e-15)
 
@@ -337,21 +387,26 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=2)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
             rho4 = states[k].matrix.reshape(2, 2, 2, 2)
-            bound = _side_a_rows(_row_map(rho4), _weights(th, ph))[1]
+            bound = _side_a_rows(_row_map(rho4), _weights(_unit(th, ph)))[2]
             for ta, pa, top in zip(th, ph, bound):
                 assert top - _sampled_row_max(rho4, ta, pa, rng) <= 1e-6
 
     def test_projector_table_matches_einsum(self):
-        # one matrix product with the projector table gives the conditional
-        # blocks of the three-operand contraction it replaced
+        # the weight table built from (I +/- n.sigma)/2 is the one the
+        # half-angle kets give, on random axes, both poles and the equator,
+        # and one matrix product with it gives the conditional blocks of the
+        # three-operand contraction over either side
         rng = np.random.default_rng(55)
         path = ["einsum_path", (0, 2), (0, 1)]
-        for _ in range(50):
+        for k in range(50):
             rho4 = random_density(rng).matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
+            th[:3], ph[:3] = (0.0, np.pi, np.pi / 2), (0.0, 0.0, 2.0 * np.pi * k / 50)
+            w = _weights(_unit(th, ph))
+            assert np.abs(w - _ket_weights(th, ph)).max() <= 4e-16
+            proj = (w[0::2] + 1j * w[1::2]).reshape(4, 2, -1).transpose(2, 1, 0).reshape(-1, 2, 2, 2)
             u = _kets(th, ph)
-            proj = _projectors(th, ph)
             ref_a = np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=path)
             ref_b = np.einsum("bkm,imjn,bkn->bkij", u.conj(), rho4, u, optimize=path)
             assert np.abs(_conditional_a(rho4, proj) - ref_a).max() <= 4e-16
@@ -370,28 +425,28 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            r, bound = _side_a_rows(_row_map(rho4), _weights(th, ph))
+            r, _, bound = _side_a_rows(_row_map(rho4), _weights(_unit(th, ph)))
             ref_r, ref_bound = _pauli_rows(rho4, th, ph)
             assert np.abs(r - ref_r).max() <= 4e-16
             assert np.abs(bound - ref_bound).max() <= 1e-15
 
     def test_scorers_match_elementwise_references(self):
-        # the one-pass scorers (a real view of the blocks for the one-sided
-        # purity, one real matrix product for t_k and r_k) agree with the
-        # elementwise expressions on the reference base grid and on one
-        # refinement window; I/4 keeps r exactly 0
+        # the scores from one real matrix product (t_k, r_k, then c + 2 tr G
+        # one-sided and c + 2 lmax(G) two-sided) agree with the elementwise
+        # expressions of the ket-built blocks on the reference base grid and
+        # on one refinement window; I/4 keeps r exactly 0
         rng = np.random.default_rng(61)
         mixed = maximally_mixed()
         states = [random_density(rng), x_state(random_x_params(rng)), x_state(BELL), mixed]
-        th, ph = _local_angles(0.7, 2.1, np.pi / 64)
-        tables = [tuple(_grid_tables(REFERENCE_GRID, f)[2] for f in (_projectors, _weights))]
-        tables.append((_projectors(th, ph), _weights(th, ph)))
+        tables = [_grid_tables(REFERENCE_GRID)]
+        pts = _window(MeasurementAxis.from_angles(0.7, 2.1).n, np.pi / 64)
+        tables.append((pts, _weights(pts)))
         for st in states:
             rho4 = st.matrix.reshape(2, 2, 2, 2)
-            for proj, w in tables:
-                one, ref_r, ref_bound = _elementwise_scores(rho4, proj)
-                r, bound = _side_a_rows(_row_map(rho4), w)
-                assert np.abs(_one_sided_values(rho4, proj) - one).max() <= 2e-15
+            for n, w in tables:
+                one, ref_r, ref_bound = _elementwise_scores(rho4, _projectors(*_angles(n)))
+                r, one_sided, bound = _side_a_rows(_row_map(rho4), w)
+                assert np.abs(one_sided - one).max() <= 2e-15
                 assert np.abs(r - ref_r).max() <= 2e-15
                 assert np.abs(bound - ref_bound).max() <= 2e-15
                 if st is mixed:
@@ -423,25 +478,24 @@ class TestTwoSidedScan:
         # the blocks of I/4 are multiples of I, so every r_k is exactly zero,
         # every axis scores c = 1/4, and b* is the z axis by the tie rule
         m = _row_map(maximally_mixed().matrix.reshape(2, 2, 2, 2))
-        for w in (COARSE_W, _grid_tables(REFERENCE_GRID, _weights)[2]):
-            r, bound = _side_a_rows(m, w)
+        for w in (COARSE_W, _grid_tables(REFERENCE_GRID)[1]):
+            r, one, bound = _side_a_rows(m, w)
             assert np.all(r == 0.0)
-            assert np.abs(bound - 0.25).max() <= 4e-16
+            assert np.all(one == 0.25) and np.all(bound == 0.25)
             assert np.array_equal(_best_b(r[:, :, 0]), [0.0, 0.0, 1.0])
 
     def test_grid_tables_are_read_only(self):
-        # every cached table, of both layouts, is the one a fresh build
+        # the cached unit vectors and weight table are the ones a fresh build
         # gives and cannot be written to
-        th, ph = _scan_angles(COARSE)
-        for build in (_projectors, _weights):
-            tables = _grid_tables(COARSE, build)
-            assert _grid_tables(COARSE, build) is tables
-            built_tables = (th, ph, build(th, ph))
-            assert len(tables) == len(built_tables) == 3
-            for table, built in zip(tables, built_tables):
-                assert np.array_equal(table, built)
-                with pytest.raises(ValueError):
-                    table[0] = 0.0
+        tables = _grid_tables(COARSE)
+        assert _grid_tables(COARSE) is tables
+        n = _unit(*_scan_angles(COARSE))
+        built_tables = (n, _weights(n))
+        assert len(tables) == len(built_tables) == 2
+        for table, built in zip(tables, built_tables):
+            assert np.array_equal(table, built)
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestBruteForce:
@@ -451,9 +505,18 @@ class TestBruteForce:
         assert gd_bruteforce(st).value == pytest.approx(0.5, abs=1e-6)
 
     def test_maximally_mixed_is_zero(self):
+        # every axis of I/4 scores exactly 1/4, so the tie rule gives the
+        # first axis in enumeration order, the z axis, on both sides, and
+        # every value is exactly 0 with a flat history
         st = maximally_mixed()
-        assert ggqd_bruteforce(st, COARSE).value == pytest.approx(0.0, abs=1e-14)
-        assert gd_bruteforce(st, COARSE).value == pytest.approx(0.0, abs=1e-14)
+        for grid in (COARSE, REFERENCE_GRID):
+            for oracle_fn in (gd_bruteforce, ggqd_bruteforce, tqc_sequential):
+                res = oracle_fn(st, grid)
+                assert res.value == 0.0
+                assert res.history == (0.25,) * (grid.refine_iters + 1)
+                assert np.array_equal(res.maximizer[0].n, [0.0, 0.0, 1.0])
+                if oracle_fn is not gd_bruteforce:
+                    assert np.array_equal(res.maximizer[1].n, [0.0, 0.0, 1.0])
 
     def test_classical_diagonal_is_zero(self):
         st = validate_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

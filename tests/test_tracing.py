@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from geodiscord.oracle import REFERENCE_GRID
+
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
@@ -40,3 +42,9 @@ def test_every_layer_name_resolves(tracing):
     names = [name for layer in tracing.LAYERS.values() for name in layer]
     missing = [name for name in names if _resolve(name, tracing._NAMESPACES) is None]
     assert missing == []
+
+
+def test_oracle_axis_count_reads_the_oracle(tracing):
+    # oracle_pairs_per_call reads the oracle's grid and window size; a
+    # one-sided call scores the 4 097 base axes and six 11 x 11 windows
+    assert tracing.oracle_pairs_per_call(REFERENCE_GRID)["gd_bruteforce"] == 4097 + 6 * 121
