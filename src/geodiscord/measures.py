@@ -30,7 +30,7 @@ a fixed side-B axis and the reverse, so each half-sweep replaces one axis by a
 top eigenvector (of a rank-2 matrix, taken in closed form) and never lowers
 it, and each sweep also tries the side-B axis moved on along its own step,
 keeping the best point.  The starts are the best points of a 512-point
-Fibonacci lattice on each side plus a few axes read off the state; each
+Fibonacci lattice on each side, chosen inside the shared ascent; each
 sweeps until it stalls, the best three sweep on until they agree, and
 OptimizerDidNotConverge is raised when they still differ by more than 1e-9.
 An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
@@ -334,8 +334,8 @@ def _fibonacci_lattice(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-# Two-sided ascent settings.  Tolerances are in units of each evaluator's own
-# closed-in-a objective.
+# Two-sided ascent settings.  Tolerances are in units of 2 f(b), the closed-in-a
+# objective of ggqd_general; ggqd_matrix_form scales its own to match.
 _LATTICE = _fibonacci_lattice(512)
 _LATTICE_SEEDS = 12  # best lattice points kept as starts
 _RISE_TOL = 1e-13  # a start stops once one sweep raises it by no more
@@ -351,28 +351,36 @@ def _top_eigvecs(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(mats)[1][..., -1]
 
 
-def _eigen_ascent(b_seeds, a_seeds, a_step, b_step, objective):
+def _eigen_ascent(a_step, b_step, objective, objective_a):
     """Maximize a form that is quadratic in a for fixed b and in b for fixed a.
 
     a_step(b) and b_step(a) map (n, 3) stacks of unit vectors to (n, 3)
     stacks of the best a for each b and the best b for each a: unit top
     eigenvectors of the form's matrix in the free axis, of either sign.
-    objective(b) is the form maximized over a in closed form.  Side-A seeds
-    enter through one b-step.  One sweep replaces a, then b, by their steps,
-    so the form never decreases; it then
-    moves b on along the sweep's step by the multiples in _EXTRAPOLATION
-    and keeps whichever point objective rates highest.  That choice
-    includes the plain sweep, so it never lowers the form either, and it
-    shortens the slow linear convergence seen when two singular values of
+    objective(b) is the form maximized over a in closed form and
+    objective_a(a) the form maximized over b.  This is the one start rule of
+    both two-sided evaluators: the _LATTICE_SEEDS points of _LATTICE where
+    objective is largest start on side B, and the _LATTICE_SEEDS where
+    objective_a is largest start on side A, entering through one b-step; the
+    side-A starts reach a narrow maximum that the side-B lattice misses.
+    One sweep replaces a, then b, by their steps, so the form never
+    decreases; it then moves b on along the sweep's step by the multiples in
+    _EXTRAPOLATION and keeps whichever point objective rates highest.  That
+    choice includes the plain sweep, so it never lowers the form either, and
+    it shortens the slow linear convergence seen when two singular values of
     the cross term nearly coincide.  Every start sweeps until one sweep
     raises it by at most _RISE_TOL; the best three then sweep on until they
     agree within _AGREE_TOL or none of them rises, with _MAX_SWEEPS sweeps
     in all.
 
-    Returns (b, objective(b)) of the best start.  Raises
-    OptimizerDidNotConverge when the best three starts spread more than
-    _SPREAD_TOL.
+    Returns (a, b, objective(b)) of the best start, with a = a_step(b) from
+    one closing a-step.  Raises OptimizerDidNotConverge when the best three
+    starts spread more than _SPREAD_TOL.
     """
+    b_seeds, a_seeds = (
+        _LATTICE[np.argsort(score(_LATTICE))[-_LATTICE_SEEDS:]]
+        for score in (objective, objective_a)
+    )
     b = np.concatenate([b_seeds, b_step(a_seeds)])
     value = objective(b)
     active = np.arange(len(b))
@@ -405,13 +413,8 @@ def _eigen_ascent(b_seeds, a_seeds, a_step, b_step, objective):
         raise OptimizerDidNotConverge(
             f"best starts disagree by {spread:.3e} > {_SPREAD_TOL:.1e}"
         )
-    best = order[-1]
-    return b[best], float(value[best])
-
-
-def _lattice_seeds(objective) -> np.ndarray:
-    """The _LATTICE_SEEDS lattice points where objective is largest."""
-    return _LATTICE[np.argsort(objective(_LATTICE))[-_LATTICE_SEEDS:]]
+    best = b[order[-1]]
+    return a_step(best[None, :])[0], best, float(value[order[-1]])
 
 
 def _twice_lam(p, q, r):
@@ -456,12 +459,6 @@ def _rank2_top(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w / norm[:, None]
 
 
-def _axis_seeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows of v, plus u/|u| unless u = 0."""
-    nu = float(np.linalg.norm(u))
-    return np.concatenate([v, u[None, :] / nu]) if nu > 0.0 else v
-
-
 def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     """Two-sided measure of an arbitrary two-qubit state.
 
@@ -483,12 +480,12 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
         f(b) = (b.y)^2 + [|x|^2 + |Tb|^2
                           + sqrt((|x|^2 - |Tb|^2)^2 + 4 (x.Tb)^2)] / 2.
 
-    The side-B starts are the 12 points of a 512-point Fibonacci lattice
-    where f(b) is largest, the right singular vectors of T and y/|y|.  The
+    The starts are chosen inside the shared :func:`_eigen_ascent`, by the
+    same rule as for :func:`ggqd_matrix_form`.  The side-B starts are the
+    12 points of a 512-point Fibonacci lattice where f(b) is largest.  The
     side-A starts mirror them (the 12 best lattice points under f maximized
-    over b, the left singular vectors of T and x/|x|) and enter through one
-    b-step; without them a narrow maximum can hold only two starts and trip
-    the guard.  After each sweep b is also moved on along the sweep's step
+    over b) and enter through one b-step; without them a narrow maximum can
+    hold only two starts and trip the guard.  After each sweep b is also moved on along the sweep's step
     by 1, 4, 16, ..., 1024 times its length, and the point with the largest
     f(b), the plain sweep included, is kept: f still never decreases, and
     when T has two close singular values the slow linear convergence of
@@ -505,7 +502,6 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     bloch = bloch_decompose(state)
     x, y, t = bloch.x, bloch.y, bloch.T
     s_total = float(x @ x) + float(y @ y) + float((t * t).sum())
-    u, _, vt = np.linalg.svd(t)
 
     def a_step(b):
         return _rank2_top(x, b @ t.T)
@@ -519,15 +515,8 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     def objective_a(a):
         return _twice_f(a, y, x, t.T)
 
-    b, fmax = _eigen_ascent(
-        np.concatenate([_lattice_seeds(objective), _axis_seeds(y, vt)]),
-        np.concatenate([_lattice_seeds(objective_a), _axis_seeds(x, u.T)]),
-        a_step,
-        b_step,
-        objective,
-    )
+    a, b, fmax = _eigen_ascent(a_step, b_step, objective, objective_a)
     value, clamped = _finalize((s_total - 0.5 * fmax) / 4.0)
-    a = a_step(b[None, :])[0]
     return MeasureResult(
         value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )
@@ -603,14 +592,15 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     the best a is the top eigenvector of qa + G(b), and for fixed a the best
     b is the top eigenvector of qb + G'(a); each step maximizes over one axis
     with the other held, so alternating the two never decreases the
-    objective.  The starts are the 12 points of a 512-point Fibonacci
-    lattice where the objective maximized over a
-    (c0 + b^t qb b + lam_max(qa + G(b))) is largest, and the 12 where it is
-    largest maximized over b, carried to b by one b-step.  The extrapolation
-    along each sweep's step, the stopping rule and the guard are those of
-    :func:`ggqd_general`, on this objective's scale:
-    OptimizerDidNotConverge when the best three starts differ by more than
-    1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
+    objective.  The objective maximized over a is
+    c0 + b^t qb b + lam_max(qa + G(b)), and over b the mirror image.  The
+    starts, the extrapolation along each sweep's step, the stopping rule and
+    the guard are the shared ones of :func:`_eigen_ascent`, as for
+    :func:`ggqd_general`.  W is scaled by 8 first, so that the ascent sees
+    8 x the dephased purity (1 + f)/4 = 2 + 2 f, which rises as
+    ggqd_general's 2 f does and so meets the same tolerances:
+    OptimizerDidNotConverge when the best three starts differ in it by more
+    than 1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
     coefficient matrix C, so it serves as an independent check of that route.
     """
     c = bloch_decompose(state).coefficient_matrix()
@@ -622,7 +612,8 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     prods = blocks[:, None] @ c @ np.swapaxes(blocks, -1, -2)
     table = (prods * prods).sum(axis=(-2, -1))
     basis = np.column_stack([np.ones(len(pts)), _monomials(pts)])
-    coef = np.linalg.solve(basis, np.linalg.solve(basis, table).T).T
+    # scaled to the units of the shared ascent's tolerances (see docstring)
+    coef = 8.0 * np.linalg.solve(basis, np.linalg.solve(basis, table).T).T
     c0, ghat = coef[0, 0], coef[1:, 1:]
     qa, qb = _quadratic_matrices(coef[1:, 0]), _quadratic_matrices(coef[0, 1:])
 
@@ -646,11 +637,8 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     def b_step(a):
         return _top_eigvecs(b_matrix(a))
 
-    b, inner = _eigen_ascent(
-        _lattice_seeds(objective), _lattice_seeds(objective_a), a_step, b_step, objective
-    )
-    value, clamped = _finalize(trcc - inner)
-    a = a_step(b[None, :])[0]
+    a, b, inner = _eigen_ascent(a_step, b_step, objective, objective_a)
+    value, clamped = _finalize(trcc - inner / 8.0)
     return MeasureResult(
         value, Method.GENERAL_OPT, (_canonical_axis(a), _canonical_axis(b)), clamped
     )
