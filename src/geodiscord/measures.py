@@ -28,11 +28,13 @@ eigenvalue of x x^t + T T^t) and ``ggqd`` from an alternating ascent over the
 two measurement axes: the dephased purity is quadratic in the side-A axis for
 a fixed side-B axis and the reverse, so each half-sweep replaces one axis by a
 top eigenvector (of a rank-2 matrix, taken in closed form) and never lowers
-it, and each sweep also tries the side-B axis moved on along its own step,
-keeping the best point.  The starts are the best points of a 512-point
-Fibonacci lattice on each side, chosen inside the shared ascent; each
-sweeps until it stalls, the best three sweep on until they agree, and
-OptimizerDidNotConverge is raised when they still differ by more than 1e-9.
+it.  Each step of the ascent makes three sweeps and keeps the best of the
+plain result, the side-B axis moved on along its last move, and the
+minimal-polynomial limit of the three sweeps.  The starts are the best points
+of a 512-point Fibonacci lattice on each side, chosen inside the shared
+ascent; each steps until it stalls, the best three step on until they agree,
+and OptimizerDidNotConverge is raised when they still differ by more than
+1e-9.
 An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
 a biquadratic form recovered from literal block-matrix products and serves as
 a cross-check of :func:`ggqd_general`.
@@ -338,17 +340,35 @@ def _fibonacci_lattice(n: int) -> np.ndarray:
 # objective of ggqd_general; ggqd_matrix_form scales its own to match.
 _LATTICE = _fibonacci_lattice(512)
 _LATTICE_SEEDS = 12  # best lattice points kept as starts
-_RISE_TOL = 1e-13  # a start stops once one sweep raises it by no more
+_STEP_SWEEPS = 3  # plain sweeps per ascent step, the extrapolation's window
+_RISE_TOL = 1e-13  # a start stops once one step raises it by no more
 _AGREE_TOL = 1e-12  # the best three stop once they agree this closely
 _SPREAD_TOL = 1e-9  # guard: accepted spread of the best three starts
 _MAX_SWEEPS = 20_000  # sweeps in all, both stages
-# Multiples of a sweep's move tried beyond its end; 0 keeps the plain sweep.
+# Multiples of a step's last move tried beyond its end; 0 keeps the plain sweep.
 _EXTRAPOLATION = np.concatenate([[0.0], 4.0 ** np.arange(6)])
 
 
-def _top_eigvecs(mats: np.ndarray) -> np.ndarray:
-    """Top eigenvectors of an (n, 3, 3) stack of symmetric matrices."""
-    return np.linalg.eigh(mats)[1][..., -1]
+def _polynomial_limit(path: np.ndarray) -> np.ndarray:
+    """Minimal-polynomial extrapolation (Cabay & Jackson, SIAM J. Numer.
+    Anal. 13(5), 1976) of an (n, 4, 3) stack of sweep iterates b0..b3.
+
+    Near a maximum one sweep acts on the tangent plane as a linear map M
+    with two modes, so the moves u_j = b_{j+1} - b_j obey
+    u2 + c1 u1 + c0 u0 = 0 with c0 + c1 lam + lam^2 the minimal polynomial
+    of M, and the fixed point is (c0 b1 + c1 b2 + b3) / (c0 + c1 + 1).  c is
+    the least-squares fit, by Cramer's rule on the 2x2 Gram matrix of u0
+    and u1; scaling by its determinant leaves no division, and the point is
+    returned up to sign, as a unit vector, or b3 when it vanishes (u0 and u1
+    parallel, or no move).
+    """
+    moves = np.diff(path, axis=1)
+    g = moves @ np.swapaxes(moves, 1, 2)  # g[:, i, j] = u_i . u_j
+    (g00, g01, g02), (g11, g12) = g[:, 0].T, g[:, 1, 1:].T
+    weights = [g01 * g12 - g11 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01]
+    limit = sum(w[:, None] * path[:, j] for j, w in enumerate(weights, start=1))
+    norm = np.linalg.norm(limit, axis=-1, keepdims=True)
+    return np.where(norm > 0.0, limit, path[:, -1]) / np.where(norm > 0.0, norm, 1.0)
 
 
 def _eigen_ascent(a_step, b_step, objective, objective_a):
@@ -364,14 +384,19 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
     objective_a is largest start on side A, entering through one b-step; the
     side-A starts reach a narrow maximum that the side-B lattice misses.
     One sweep replaces a, then b, by their steps, so the form never
-    decreases; it then moves b on along the sweep's step by the multiples in
-    _EXTRAPOLATION and keeps whichever point objective rates highest.  That
-    choice includes the plain sweep, so it never lowers the form either, and
-    it shortens the slow linear convergence seen when two singular values of
-    the cross term nearly coincide.  Every start sweeps until one sweep
-    raises it by at most _RISE_TOL; the best three then sweep on until they
-    agree within _AGREE_TOL or none of them rises, with _MAX_SWEEPS sweeps
-    in all.
+    decreases.  One ascent step makes _STEP_SWEEPS sweeps and keeps
+    whichever of these points objective rates highest: the last sweep's b
+    moved on along its move by the multiples in _EXTRAPOLATION (0 is the
+    plain sweep), and the minimal-polynomial limit of the step's sweeps
+    (:func:`_polynomial_limit`).  The choice includes the plain sweep, so it
+    never lowers the form either.  The multiples shorten the slow linear
+    convergence seen when two singular values of the cross term nearly
+    coincide; the limit removes it where the maxima form a nearly flat
+    ring, as when T has two equal singular values and x, y are small,
+    where any large multiple would also amplify the step's fast mode.  Every
+    start steps until one step raises it by at most _RISE_TOL; the best
+    three then step on until they agree within _AGREE_TOL or none of them
+    rises, with _MAX_SWEEPS sweeps in all.
 
     Returns (a, b, objective(b)) of the best start, with a = a_step(b) from
     one closing a-step.  Raises OptimizerDidNotConverge when the best three
@@ -385,18 +410,22 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
     value = objective(b)
     active = np.arange(len(b))
     endgame = False
-    for _ in range(_MAX_SWEEPS):
+    for _ in range(_MAX_SWEEPS // _STEP_SWEEPS):
         if not endgame and active.size == 0:
             endgame = True
             active = np.argsort(value)[-3:]
         if endgame and np.ptp(value[active]) <= _AGREE_TOL:
             break
-        old = b[active]
-        new = b_step(a_step(old))
-        # b and -b are one measurement: orient new so new - old is the move
-        new *= np.where((new * old).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
-        trial = new[:, None, :] + _EXTRAPOLATION[:, None] * (new - old)[:, None, :]
+        path = [b[active]]
+        for _ in range(_STEP_SWEEPS):
+            new = b_step(a_step(path[-1]))
+            # b and -b are one measurement: orient new so new - old is the move
+            new *= np.where((new * path[-1]).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
+            path.append(new)
+        path = np.stack(path, axis=1)
+        trial = path[:, -1:] + _EXTRAPOLATION[:, None] * (path[:, -1:] - path[:, -2:-1])
         trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial = np.concatenate([trial, _polynomial_limit(path)[:, None]], axis=1)
         trial_value = objective(trial.reshape(-1, 3)).reshape(trial.shape[:2])
         rows, pick = np.arange(len(active)), trial_value.argmax(axis=1)
         top = trial_value[rows, pick]
@@ -485,16 +514,18 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     12 points of a 512-point Fibonacci lattice where f(b) is largest.  The
     side-A starts mirror them (the 12 best lattice points under f maximized
     over b) and enter through one b-step; without them a narrow maximum can
-    hold only two starts and trip the guard.  After each sweep b is also moved on along the sweep's step
-    by 1, 4, 16, ..., 1024 times its length, and the point with the largest
-    f(b), the plain sweep included, is kept: f still never decreases, and
-    when T has two close singular values the slow linear convergence of
-    the plain ascent, which can take the whole sweep budget, is cut by an
-    order of magnitude.  Each start sweeps until its 2 f(b) rises by at most 1e-13
-    per sweep; the best three then sweep on until they agree within 1e-12 or
-    stop rising, with 20 000 sweeps in all at most.  The best start is
-    picked by the closed form f(b), not by the last eigenvalue, and the
-    returned value is (|x|^2 + |y|^2 + |T|^2 - f(b*)) / 4.
+    hold only two starts and trip the guard.  Each ascent step makes three
+    sweeps and keeps the point with the largest f(b) among the plain sweep,
+    the last sweep's b moved on along its move by 1, 4, 16, ..., 1024 times
+    its length, and the minimal-polynomial limit of the three sweeps: f
+    still never decreases, and when T has two close or equal singular
+    values the slow linear convergence of the plain ascent, which can take
+    the whole sweep budget, is cut to a few dozen sweeps in most cases.
+    Each start steps until its 2 f(b) rises by at most 1e-13 per step; the
+    best three then step on until they agree within 1e-12 or stop rising,
+    with 20 000 sweeps in all at most.  The best start is picked by the
+    closed form f(b), not by the last eigenvalue, and the returned value is
+    (|x|^2 + |y|^2 + |T|^2 - f(b*)) / 4.
 
     Raises OptimizerDidNotConverge when the best three starts differ in
     2 f(b) by more than 1e-9.
@@ -594,8 +625,8 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     with the other held, so alternating the two never decreases the
     objective.  The objective maximized over a is
     c0 + b^t qb b + lam_max(qa + G(b)), and over b the mirror image.  The
-    starts, the extrapolation along each sweep's step, the stopping rule and
-    the guard are the shared ones of :func:`_eigen_ascent`, as for
+    starts, the three-sweep steps with their extrapolations, the stopping
+    rule and the guard are the shared ones of :func:`_eigen_ascent`, as for
     :func:`ggqd_general`.  W is scaled by 8 first, so that the ascent sees
     8 x the dephased purity (1 + f)/4 = 2 + 2 f, which rises as
     ggqd_general's 2 f does and so meets the same tolerances:
@@ -632,10 +663,10 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
         return c0 + quad_a + np.linalg.eigvalsh(b_matrix(a))[..., -1]
 
     def a_step(b):
-        return _top_eigvecs(a_matrix(b))
+        return np.linalg.eigh(a_matrix(b))[1][..., -1]
 
     def b_step(a):
-        return _top_eigvecs(b_matrix(a))
+        return np.linalg.eigh(b_matrix(a))[1][..., -1]
 
     a, b, inner = _eigen_ascent(a_step, b_step, objective, objective_a)
     value, clamped = _finalize(trcc - inner / 8.0)

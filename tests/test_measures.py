@@ -407,12 +407,40 @@ class TestTwoSidedAscent:
         # the grid oracle sits just below the true maximum of the dephased
         # purity (it is exact on side B), so both evaluators must not exceed
         # it by more than round-off (a missed basin shows here) nor fall
-        # more than 1e-10 below it
+        # more than 1e-10 below it.  On degenerate_t the lower edge holds
+        # for these six seeded states only: the oracle's side-A search stops
+        # short on about a quarter of that family (pinned below)
         for st in adversarial_states(kind):
             brute = ggqd_bruteforce(st).value
             for evaluator in (ggqd_general, ggqd_matrix_form):
                 value = evaluator(st).value
                 assert brute - 1e-10 <= value <= brute + 1e-12, (kind, evaluator.__name__)
+
+    @pytest.mark.xfail(
+        strict=True, reason="ggqd_bruteforce stops short on a flat ring of maxima (ROADMAP item 2)"
+    )
+    def test_oracle_reaches_degenerate_t_maximum(self):
+        # T = diag(s, s, +-r s) with tiny local vectors: the maxima form a
+        # nearly flat ring, and the oracle's refinement, which starts from
+        # the base grid's best point on it, stops 1.5e-7 above the ascent
+        st = validate_density(degenerate_t_state(np.random.default_rng(48)))
+        assert ggqd_bruteforce(st).value - 1e-10 <= ggqd_general(st).value
+
+    def test_flat_ring_converges(self, monkeypatch):
+        # on this nearly flat ring the ascent used all 20 000 sweeps with the
+        # extrapolation along each sweep's move alone, and the two evaluators
+        # stopped 2.7e-10 apart; with the minimal-polynomial limit of each
+        # step's three sweeps it needs 258
+        st = validate_density(degenerate_t_state(np.random.default_rng(1110)))
+        calls = []
+        rank2_top = measures._rank2_top
+        monkeypatch.setattr(
+            measures, "_rank2_top", lambda u, v: calls.append(1) or rank2_top(u, v)
+        )
+        value = ggqd_general(st).value
+        assert (len(calls) - 2) // 2 < 1000  # two steps per sweep
+        assert value == pytest.approx(ggqd_matrix_form(st).value, abs=1e-13)
+        assert value <= ggqd_bruteforce(st).value + 1e-12
 
     def test_narrow_basin_is_found(self):
         # a broad second maximum of f(b) near +-z holds all but one of the
@@ -444,7 +472,8 @@ class TestTwoSidedAscent:
     def test_close_singular_values_converge_quickly(self, monkeypatch):
         # T has singular values 0.53971 and 0.53959: the plain alternating
         # sweep converges with a ratio near 1 and used the whole 20 000-sweep
-        # budget here; extrapolating along each sweep's step needs about 450
+        # budget here; extrapolating along each sweep's move alone needed 453,
+        # with the minimal-polynomial limit of each step's three sweeps 33
         p = XStateParams(
             0.2281344028399197,
             0.1328427994509377,
@@ -460,7 +489,7 @@ class TestTwoSidedAscent:
         )
         value = ggqd_general(x_state(p)).value
         assert value == pytest.approx(ggqd_x(normalize_x_phases(p).normalized).value, abs=1e-12)
-        assert (len(calls) - 2) // 2 < 1000  # two steps per sweep
+        assert (len(calls) - 2) // 2 < 100  # two steps per sweep
 
     def test_guard_fires_when_sweeps_run_out(self, monkeypatch):
         monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
