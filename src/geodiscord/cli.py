@@ -40,7 +40,7 @@ from .measures import (
     gd_x,
     ggqd_general,
     ggqd_x,
-    x_measures,
+    x_measures_columns,
 )
 from .oracle import (
     REFERENCE_GRID,
@@ -56,6 +56,7 @@ from .states import (
     example3,
     example4,
     example5,
+    example_rows,
     normalize_x_phases,
     random_density,
     random_x_params,
@@ -247,10 +248,10 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-# a sweep holds every row's output until it writes the file, about 330
-# bytes each (100 000 steps: 1.5 s and 62 MB peak, 29 MB of it the import),
-# so a mistyped 10^8 steps would need about 33 GB; the count is checked
-# before np.linspace allocates
+# a sweep holds every row's columns and output until it writes the file,
+# about 390 bytes each (100 000 steps: 0.4 s and 67-69 MB peak, 30 MB of
+# it the import), so a mistyped 10^8 steps would need about 39 GB; the
+# count is checked before np.linspace allocates
 _MAX_RANGE_STEPS = 100_000
 
 
@@ -274,28 +275,38 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(start, end, steps)
 
 
-def _family_point(example: str, value: float, alpha: float | None) -> XStateParams:
-    """Map a sweep parameter to X-state parameters.
+def _family_args(example: str, value, alpha: float | None) -> tuple:
+    """The family constructor's arguments at a sweep parameter value, a
+    float or an array of them.
 
     ex1-ex3 sweep the mixing parameter directly.  ex4 sweeps the scaled
     time tau with g*t = 2 pi tau / sqrt(6), so one period is tau = 1;
     default weights are alpha = beta = 1/sqrt(2).  ex5 sweeps gamma*t with
-    default alpha = 0.1.
+    default alpha = 0.1.  An ex4 alpha outside [0, 1] raises DomainError.
     """
-    if example == "ex1":
-        return example1(value)
-    if example == "ex2":
-        return example2(value)
-    if example == "ex3":
-        return example3(value)
+    if example in ("ex1", "ex2", "ex3"):
+        return (value,)
     if example == "ex4":
         a = (1.0 / math.sqrt(2.0)) if alpha is None else alpha
         if not 0.0 <= a <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {a!r}")
         b = math.sqrt(max(0.0, 1.0 - a * a))
-        return example4(a, b, 2.0 * math.pi * value / math.sqrt(6.0))
-    a = 0.1 if alpha is None else alpha
-    return example5(a, value)
+        return a, b, 2.0 * math.pi * value / math.sqrt(6.0)
+    return (0.1 if alpha is None else alpha), value
+
+
+def _family_point(example: str, value: float, alpha: float | None) -> XStateParams:
+    """The sweep's row at one parameter value, by the scalar constructors."""
+    args = _family_args(example, value, alpha)
+    if example == "ex1":
+        return example1(*args)
+    if example == "ex2":
+        return example2(*args)
+    if example == "ex3":
+        return example3(*args)
+    if example == "ex4":
+        return example4(*args)
+    return example5(*args)
 
 
 def cmd_sweep(args) -> int:
@@ -305,27 +316,34 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     params = grid.tolist()
-    rejected: list[ValueError] = []
-
-    def points():
-        # built and validated one at a time, in parameter order
-        try:
-            for value in params:
-                yield _family_point(args.example, value, args.alpha)
-        except ValueError as exc:  # DomainError, or a point XStateParams rejects
-            rejected.append(exc)
-
-    gd_values, ggqd_values = x_measures(points())
-    # rows before a rejected point are checked first, so the first bad row
-    # in parameter order decides the outcome
+    try:
+        with np.errstate(all="ignore"):  # out-of-range rows are rejected below
+            family_args = _family_args(args.example, grid, args.alpha)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # every row is built and validated in one array pass; the rows before
+    # the first rejected one are checked first, so the first bad row in
+    # parameter order decides the outcome, as in a row-by-row loop
+    columns, accepted = example_rows(args.example, *family_args)
+    rejected = np.flatnonzero(~accepted)
+    n = int(rejected[0]) if rejected.size else len(params)
+    gd_values, ggqd_values = x_measures_columns(*(c[:n] for c in columns))
     below = np.flatnonzero(ggqd_values < gd_values - 1e-10)
     if below.size:
         raise RuntimeError(
             f"two-sided value fell below one-sided at param {params[below[0]]!r}"
         )
-    if rejected:
-        print(f"error: {rejected[0]}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(rejected[0], DomainError) else EXIT_VALIDATION
+    if n < len(params):
+        # the scalar constructor reports the rule that row breaks
+        try:
+            _family_point(args.example, params[n], args.alpha)
+        except ValueError as exc:  # DomainError, or a point XStateParams rejects
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_VALIDATION
+        raise AssertionError(
+            f"the array pass rejected param {params[n]!r}, the scalar route did not"
+        )
 
     rows = ["param,gd,ggqd"]
     rows.extend(

@@ -21,7 +21,10 @@ and H splits the family into three cases with per-case gap formulas; see
 of round-off below zero, is written once, in the array-generic core
 ``_x_invariants`` / ``_x_measure`` / ``_clamp``: :func:`gd_x` and
 :func:`ggqd_x` evaluate it on one state, :func:`x_measures` on many states
-in one array pass, with bit-identical values.
+and :func:`x_measures_columns` on many states given as columns, in one
+array pass, with bit-identical values.  The validity rule of
+:class:`XStateParams` is written once too (``_x_rule``), for one state and,
+in :func:`x_params_accepted`, for columns of them.
 
 General states get ``gd`` from the closed Bloch-space form (largest
 eigenvalue of x x^t + T T^t) and ``ggqd`` from an alternating ascent over the
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -60,6 +64,9 @@ from .core import (
 
 # Negative round-off in a measure value is clamped to zero down to this bound.
 CLAMP_FLOOR = -1e-10
+# Slack of every XStateParams bound: populations, their sum, corner moduli.
+_X_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 
 class OptimizerDidNotConverge(RuntimeError):
@@ -140,26 +147,68 @@ class XStateParams:
         d = [float(self.d0), float(self.d1), float(self.d2), float(self.d3)]
         a03 = complex(self.a03)
         a12 = complex(self.a12)
-        values = d + [a03.real, a03.imag, a12.real, a12.imag]
-        if not all(map(math.isfinite, values)):
+        m03, m12 = _modulus(a03), _modulus(a12)
+        (finite, nonneg, summed, in03, in12), total, b03, b12 = _x_rule(*d, m03, m12)
+        if not finite:
             raise ValueError("X-state parameters must be finite")
-        if min(d) < -1e-12:
+        if not nonneg:
             raise ValueError(f"populations must be nonnegative, got {d}")
-        total = d[0] + d[1] + d[2] + d[3]
-        if abs(total - 1.0) > 1e-12:
+        if not summed:
             raise ValueError(f"populations must sum to 1, got {total!r}")
-        b03 = math.sqrt(max(d[0], 0.0) * max(d[3], 0.0))
-        b12 = math.sqrt(max(d[1], 0.0) * max(d[2], 0.0))
-        if abs(a03) > b03 + 1e-12:
-            raise ValueError(f"|a03| = {abs(a03)!r} exceeds sqrt(d0 d3) = {b03!r}")
-        if abs(a12) > b12 + 1e-12:
-            raise ValueError(f"|a12| = {abs(a12)!r} exceeds sqrt(d1 d2) = {b12!r}")
-        object.__setattr__(self, "d0", d[0])
-        object.__setattr__(self, "d1", d[1])
-        object.__setattr__(self, "d2", d[2])
-        object.__setattr__(self, "d3", d[3])
-        object.__setattr__(self, "a03", a03)
-        object.__setattr__(self, "a12", a12)
+        if not in03:
+            raise ValueError(f"|a03| = {m03!r} exceeds sqrt(d0 d3) = {b03!r}")
+        if not in12:
+            raise ValueError(f"|a12| = {m12!r} exceeds sqrt(d1 d2) = {b12!r}")
+        vars(self).update(d0=d[0], d1=d[1], d2=d[2], d3=d[3], a03=a03, a12=a12)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the parts are finite but the modulus is not."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(v):
+    """|v| <= the largest float, which NaN fails too; array-generic."""
+    return abs(v) <= _FLOAT_MAX
+
+
+def _x_rule(d0, d1, d2, d3, m03, m12, maximum=max, sqrt=math.sqrt):
+    """The X-state validity rule on populations and corner moduli.
+
+    Array-generic: Python floats with the default maximum and sqrt, arrays
+    with NumPy's.  Returns the five checks in the order XStateParams
+    reports them, each True where it holds (finite, populations >= -1e-12,
+    their sum within 1e-12 of 1, then each corner within 1e-12 of its
+    bound), and the sum and the two bounds sqrt(d0 d3), sqrt(d1 d2) that
+    the messages quote.  Finiteness is ``_finite``, written out: this is
+    the constructor's per-call cost.
+    """
+    total = d0 + d1 + d2 + d3
+    b03 = sqrt(maximum(d0, 0.0) * maximum(d3, 0.0))
+    b12 = sqrt(maximum(d1, 0.0) * maximum(d2, 0.0))
+    finite = ((abs(d0) <= _FLOAT_MAX) & (abs(d1) <= _FLOAT_MAX) & (abs(d2) <= _FLOAT_MAX)
+              & (abs(d3) <= _FLOAT_MAX) & (abs(m03) <= _FLOAT_MAX) & (abs(m12) <= _FLOAT_MAX))
+    nonneg = (d0 >= -_X_TOL) & (d1 >= -_X_TOL) & (d2 >= -_X_TOL) & (d3 >= -_X_TOL)
+    holds = (finite, nonneg, abs(total - 1.0) <= _X_TOL, m03 <= b03 + _X_TOL,
+             m12 <= b12 + _X_TOL)
+    return holds, total, b03, b12
+
+
+def x_params_accepted(d0, d1, d2, d3, m03, m12) -> np.ndarray:
+    """Which rows of X-state columns XStateParams accepts, in one array pass.
+
+    The columns are equal-length arrays of populations and corner moduli;
+    the rule is XStateParams' own (``_x_rule``), so row i is True exactly
+    when XStateParams(d0[i], ..., m03[i], m12[i]) returns.
+    Rows holding NaN, inf or overflowing values are rejected without a
+    floating-point warning.
+    """
+    with np.errstate(all="ignore"):
+        holds = _x_rule(d0, d1, d2, d3, m03, m12, np.maximum, np.sqrt)[0]
+    return holds[0] & holds[1] & holds[2] & holds[3] & holds[4]
 
 
 class Case(enum.Enum):
@@ -252,15 +301,28 @@ def x_measures(points: Iterable[XStateParams]) -> tuple[np.ndarray, np.ndarray]:
     ``normalize_x_phases(points[i]).normalized``, bit for bit.  The moduli
     are Python's ``abs``: ``np.abs`` on complex input may differ from it in
     the last bit.  ``points`` is read once, in order, so the states of a
-    generator need not all be held at the same time.
+    generator need not all be held at the same time.  The arithmetic is
+    that of :func:`x_measures_columns`, which takes the same six columns
+    directly, as ``sweep`` does.
     """
     rows = np.fromiter(
         ((p.d0, p.d1, p.d2, p.d3, abs(p.a03), abs(p.a12)) for p in points),
         dtype=np.dtype((float, 6)),
     )
-    d0, d1, d2, d3, a03, a12 = rows.T
-    q, h, s2 = _x_invariants(d0, d1, d2, d3, a03, a12)
-    return _x_measure(h, a03, a12, s2)[0], _x_measure(q, a03, a12, s2)[0]
+    return x_measures_columns(*rows.T)
+
+
+def x_measures_columns(d0, d1, d2, d3, m03, m12) -> tuple[np.ndarray, np.ndarray]:
+    """GD and GGQD values of X states given as columns, in one array pass.
+
+    The columns are equal-length arrays of populations and corner moduli,
+    as ``x_params_accepted`` checks them, so no XStateParams is built.
+    Entry i equals ``gd_x`` / ``ggqd_x`` of the phase-normalized
+    XStateParams(d0[i], ..., m03[i], m12[i]), bit for bit: both run the
+    same ``_x_invariants`` / ``_x_measure`` core on the same floats.
+    """
+    q, h, s2 = _x_invariants(d0, d1, d2, d3, m03, m12)
+    return _x_measure(h, m03, m12, s2)[0], _x_measure(q, m03, m12, s2)[0]
 
 
 def classify_x_case(p: XStateParams) -> XCase:

@@ -18,13 +18,13 @@ parts: sigma_k - (t_k/2) I = [[al_k, be_k], [be_k*, -al_k]] has r_k =
 Gram matrix of R = [r_+ r_-], both scores come from the same rows
 (``_side_a_rows``):
 
-- one-sided, the dephased purity tr(Pi_a(rho)^2) = sum_k tr(sigma_k^2) =
-  c + 2 tr G;
-- two-sided, the best purity over the whole b-sphere.  A side-B ket of
-  Bloch vector n has p_k+ - t_k/2 = r_k . n, so the pair's purity, 2 sum_k
-  (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = R R^T.  Its maximum over
-  unit n is c + 2 lmax(M) = c + 2 lmax(G), reached at n along R g, g the
-  top eigenvector of G (``_best_b``).
+- one-sided (``_one_sided``), the dephased purity tr(Pi_a(rho)^2) =
+  sum_k tr(sigma_k^2) = c + 2 tr G, which needs only G's diagonal;
+- two-sided (``_two_sided``), the best purity over the whole b-sphere.
+  A side-B ket of Bloch vector n has p_k+ - t_k/2 = r_k . n, so the pair's
+  purity, 2 sum_k (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = R R^T.
+  Its maximum over unit n is c + 2 lmax(M) = c + 2 lmax(G), reached at n
+  along R g, g the top eigenvector of G (``_best_b``).
 
 The two differ by 2 lmin(G) >= 0, the paper's GD <= GGQD axis by axis.
 So only side A is enumerated: the b side rests on the identity, which the
@@ -192,11 +192,9 @@ def _lmax(g00, g11, g01):
 
 
 def _side_a_rows(m, w):
-    """The vectors r_k of each side-A axis, (3, 2, Na) real, and its two
-    scores, (Na,) real each, from m = _row_map(rho4) and w = _weights of the
-    a-axes: the one-sided dephased purity c + 2 tr G and the two-sided best
-    purity over the whole b-sphere c + 2 lmax(G), with c = sum_k t_k^2 / 2
-    and G_kl = r_k . r_l.
+    """The vectors r_k of each side-A axis, (3, 2, Na) real, with c = sum_k
+    t_k^2 / 2 and the Gram diagonal (G_00, G_11), (Na,) and (2, Na), from m
+    = _row_map(rho4) and w = _weights of the a-axes; G_kl = r_k . r_l.
 
     The contraction leaves sigma_k Hermitian only up to rounding; m keeps
     only the Hermitian part, so blocks that are multiples of I (every axis
@@ -205,9 +203,21 @@ def _side_a_rows(m, w):
     tr = (m @ w).reshape(4, 2, -1)  # (t, r_0, r_1, r_2), k, a
     t, r = tr[0], tr[1:]
     g = np.einsum("ika,ika->ka", r, r)  # g00 and g11
+    return r, 0.5 * (t[0] * t[0] + t[1] * t[1]), g
+
+
+def _one_sided(m, w):
+    """Each side-A axis's dephased purity c + 2 tr G, (Na,) real."""
+    _, c, g = _side_a_rows(m, w)
+    return c + 2.0 * (g[0] + g[1])
+
+
+def _two_sided(m, w):
+    """The r_k of each side-A axis and its best purity over the whole
+    b-sphere, c + 2 lmax(G), (Na,) real."""
+    r, c, g = _side_a_rows(m, w)
     g01 = np.einsum("ia,ia->a", r[:, 0], r[:, 1])
-    c = 0.5 * (t[0] * t[0] + t[1] * t[1])
-    return r, c + 2.0 * (g[0] + g[1]), c + 2.0 * _lmax(g[0], g[1], g01)
+    return r, c + 2.0 * _lmax(g[0], g[1], g01)
 
 
 def _best_b(r):
@@ -276,7 +286,7 @@ def _refine(grid: GridSpec, score):
 def _pair_at(m, a):
     """Best purity over the b-sphere at the side-A unit vector a, and (a,
     b*) as MeasurementAxis; m = _row_map(rho4)."""
-    r, _, val = _side_a_rows(m, _weights(a[None]))
+    r, val = _two_sided(m, _weights(a[None]))
     return float(val[0]), (MeasurementAxis(a), MeasurementAxis(_best_b(r[:, :, 0])))
 
 
@@ -301,7 +311,7 @@ def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> M
     entry per refinement round after that.
     """
     m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[2])
+    val, a, history = _refine(grid, lambda w: _two_sided(m, w)[1])
     return _result(state, Method.BRUTE_FORCE, val, _pair_at(m, a)[1], history)
 
 
@@ -312,7 +322,7 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
     by its own dephased purity.
     """
     m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1])
+    val, a, history = _refine(grid, lambda w: _one_sided(m, w))
     return _result(state, Method.BRUTE_FORCE, val, (MeasurementAxis(a), None), history)
 
 
@@ -339,6 +349,6 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
     history of :func:`gd_bruteforce`; step 2 is not a grid search.
     """
     m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    _, a, history = _refine(grid, lambda w: _side_a_rows(m, w)[1])
+    _, a, history = _refine(grid, lambda w: _one_sided(m, w))
     val, axes = _pair_at(m, a)
     return _result(state, Method.TQC_SEQUENTIAL, val, axes, history)

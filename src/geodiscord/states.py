@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix4, validate_density
-from .measures import XStateParams
+from .measures import XStateParams, _finite, x_params_accepted
 
 
 # the diagonal and the antidiagonal of a 4x4 matrix
@@ -94,21 +94,65 @@ def normalize_x_phases(p: XStateParams) -> PhaseNormalization:
     return PhaseNormalization(theta1, theta2, normalized)
 
 
+def _raise_unless(holds, error, message) -> None:
+    """Scalar check of one family rule: raise error(message()) unless it holds."""
+    if not holds:
+        raise error(message())
+
+
+class _RowChecks:
+    """Array check of the family rules: the rows on which every rule held."""
+
+    def __init__(self):
+        self.holds = True
+
+    def __call__(self, holds, error, message) -> None:
+        self.holds = self.holds & holds
+
+
+# Every family is written once, as a function of its arguments and a check
+# that each rule goes through, array-generic: the scalar constructors pass
+# _raise_unless, which stops at the first rule broken, and example_rows
+# passes _RowChecks, which evaluates every row at once.
+
+
+def _normalized(weights, check) -> None:
+    """The normalization rule of the amplitude families: the squared
+    moduli, in the order given, sum to 1 within 1e-12."""
+    total = weights[0] + weights[1] + weights[2] + weights[3]
+    check(abs(total - 1.0) <= 1e-12, ValueError,
+          lambda: f"amplitudes not normalized: sum of squares {float(total)!r}")
+
+
+def _example1(a, check):
+    check((0.0 < a) & (a <= 1.0), DomainError,
+          lambda: f"example1 needs a in (0, 1], got {a!r}")
+    return a / 2.0, 0.0, 0.0, 1.0 - a / 2.0, a / 2.0, 0.0
+
+
+def _example2(a, check):
+    check((0.0 <= a) & (a <= 1.0), DomainError,
+          lambda: f"example2 needs a in [0, 1], got {a!r}")
+    return 0.0, a / 2.0, a / 2.0, 1.0 - a, 0.0, a / 2.0
+
+
+def _example3(a, check):
+    check((0.0 <= a) & (a <= 1.0), DomainError,
+          lambda: f"example3 needs a in [0, 1], got {a!r}")
+    return (1.0 - a) / 3.0, 1.0 / 3.0, 1.0 / 3.0, a / 3.0, 0.0, 1.0 / 3.0
+
+
 def example1(a: float) -> XStateParams:
     """Bell state mixed with |11><11|: d=(a/2, 0, 0, 1-a/2), corner a03=a/2.
 
     Both correlation measures equal a^2/2 on this family.
     """
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"example1 needs a in (0, 1], got {a!r}")
-    return XStateParams(a / 2.0, 0.0, 0.0, 1.0 - a / 2.0, a / 2.0, 0.0)
+    return XStateParams(*_example1(a, _raise_unless))
 
 
 def example2(a: float) -> XStateParams:
     """Central Bell mixture: d=(0, a/2, a/2, 1-a), corner a12=a/2."""
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"example2 needs a in [0, 1], got {a!r}")
-    return XStateParams(0.0, a / 2.0, a / 2.0, 1.0 - a, 0.0, a / 2.0)
+    return XStateParams(*_example2(a, _raise_unless))
 
 
 def example3(a: float) -> XStateParams:
@@ -117,9 +161,7 @@ def example3(a: float) -> XStateParams:
     Both measures are symmetric about a = 1/2, where they share the
     minimum 5/36.
     """
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"example3 needs a in [0, 1], got {a!r}")
-    return XStateParams((1.0 - a) / 3.0, 1.0 / 3.0, 1.0 / 3.0, a / 3.0, 0.0, 1.0 / 3.0)
+    return XStateParams(*_example3(a, _raise_unless))
 
 
 @dataclass(frozen=True)
@@ -138,9 +180,23 @@ class TCAmplitudes:
     c4: complex
 
     def __post_init__(self):
-        total = abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2 + abs(self.c4) ** 2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes not normalized: sum of squares {total!r}")
+        weights = [c.real * c.real + c.imag * c.imag for c in (self.c1, self.c2, self.c3, self.c4)]
+        _normalized(weights, _raise_unless)
+
+
+def _tc_branches(alpha, beta, gt, check):
+    """c1, Im c2 and c3 of tc_amplitudes (c1 and c3 are real, c2 imaginary)."""
+    check(_finite(alpha) & _finite(beta) & _finite(gt), DomainError,
+          lambda: "alpha, beta, gt must be finite")
+    check(abs(alpha * alpha + beta * beta - 1.0) <= 1e-12, DomainError,
+          lambda: f"alpha^2 + beta^2 must equal 1, got {alpha * alpha + beta * beta!r}")
+    check(gt >= 0.0, DomainError, lambda: f"gt must be nonnegative, got {gt!r}")
+    w = math.sqrt(6.0) * gt
+    cos_w = np.cos(w)
+    c1 = -(math.sqrt(2.0) / 3.0) * beta * (1.0 - cos_w)
+    c2 = -(beta / math.sqrt(3.0)) * np.sin(w)
+    c3 = beta * (2.0 + cos_w) / 3.0
+    return c1, c2, c3
 
 
 def tc_amplitudes(alpha: float, beta: float, gt: float) -> TCAmplitudes:
@@ -150,34 +206,25 @@ def tc_amplitudes(alpha: float, beta: float, gt: float) -> TCAmplitudes:
     weight beta and none with weight alpha, so alpha^2 + beta^2 must be 1.
     The dynamics are periodic with period sqrt(6) g t = 2 pi.
     """
-    if not math.isfinite(alpha) or not math.isfinite(beta) or not math.isfinite(gt):
-        raise DomainError("alpha, beta, gt must be finite")
-    if abs(alpha * alpha + beta * beta - 1.0) > 1e-12:
-        raise DomainError(
-            f"alpha^2 + beta^2 must equal 1, got {alpha * alpha + beta * beta!r}"
-        )
-    if gt < 0.0:
-        raise DomainError(f"gt must be nonnegative, got {gt!r}")
-    w = math.sqrt(6.0) * gt
-    c1 = -(math.sqrt(2.0) / 3.0) * beta * (1.0 - math.cos(w))
-    c2 = -1j * (beta / math.sqrt(3.0)) * math.sin(w)
-    c3 = beta * (2.0 + math.cos(w)) / 3.0
-    c4 = complex(alpha)
-    return TCAmplitudes(complex(c1), c2, complex(c3), c4)
+    c1, c2, c3 = _tc_branches(alpha, beta, gt, _raise_unless)
+    return TCAmplitudes(complex(c1), complex(0.0, c2), complex(c3), complex(alpha))
+
+
+def _example4(alpha, beta, gt, check):
+    c1, c2, c3 = _tc_branches(alpha, beta, gt, check)
+    m1, m2, m3, m4 = c1 * c1, c2 * c2, c3 * c3, alpha * alpha
+    _normalized((m1, m2, m3, m4), check)
+    return m1 + m4, m2 / 2.0, m2 / 2.0, m3, abs(c3 * alpha), m2 / 2.0
 
 
 def example4(alpha: float, beta: float, gt: float) -> XStateParams:
     """Reduced two-atom state of the cavity model at dimensionless time g*t.
 
     d = (|c1|^2 + |c4|^2, |c2|^2/2, |c2|^2/2, |c3|^2) with corners
-    a12 = |c2|^2/2 and a03 = |c3 c4|.
+    a12 = |c2|^2/2 and a03 = |c3 c4|; the amplitudes are those of
+    tc_amplitudes, c4 = alpha.
     """
-    c = tc_amplitudes(alpha, beta, gt)
-    m1 = abs(c.c1) ** 2
-    m2 = abs(c.c2) ** 2
-    m3 = abs(c.c3) ** 2
-    m4 = abs(c.c4) ** 2
-    return XStateParams(m1 + m4, m2 / 2.0, m2 / 2.0, m3, abs(c.c3 * c.c4), m2 / 2.0)
+    return XStateParams(*_example4(alpha, beta, gt, _raise_unless))
 
 
 @dataclass(frozen=True)
@@ -194,9 +241,27 @@ class ReservoirAmplitudes:
     alpha: float
 
     def __post_init__(self):
-        total = self.alpha**2 + self.c1**2 + self.c2**2 + self.c3**2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes not normalized: sum of squares {total!r}")
+        weights = [v * v for v in (self.alpha, self.c1, self.c2, self.c3)]
+        _normalized(weights, _raise_unless)
+
+
+def _reservoir_branches(alpha, gt, check):
+    """c1, c2, c3 of reservoir_amplitudes."""
+    check((0.0 <= alpha) & (alpha <= 1.0), DomainError,
+          lambda: f"alpha must lie in [0, 1], got {alpha!r}")
+    check(_finite(gt) & (gt >= 0.0), DomainError,
+          lambda: f"gt must be finite and nonnegative, got {gt!r}")
+    beta = np.sqrt(1.0 - alpha * alpha)
+    decay = np.exp(-gt)
+    c1 = beta * decay
+    # exp(-gt) underflows to 0 long before 2 gt overflows to inf, whose
+    # product with it would be nan; such rows take gt = 0, so c2 = 0
+    c2 = beta * np.sqrt(2.0 * np.where(decay > 0.0, gt, 0.0)) * decay
+    radicand = 1.0 - alpha * alpha - c1 * c1 - c2 * c2
+    radicand = np.where((-1e-14 <= radicand) & (radicand < 0.0), 0.0, radicand)
+    check(radicand >= 0.0, ValueError,
+          lambda: f"leaked population {float(radicand)!r} is negative")
+    return c1, c2, np.sqrt(radicand)
 
 
 def reservoir_amplitudes(alpha: float, gt: float) -> ReservoirAmplitudes:
@@ -207,39 +272,51 @@ def reservoir_amplitudes(alpha: float, gt: float) -> ReservoirAmplitudes:
     Round-off can push the c3 radicand a hair below zero near gt = 0; values
     in [-1e-14, 0) are clamped to 0.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not math.isfinite(gt) or gt < 0.0:
-        raise DomainError(f"gt must be finite and nonnegative, got {gt!r}")
-    beta_sq = 1.0 - alpha * alpha
-    beta = math.sqrt(beta_sq)
-    decay = math.exp(-gt)
-    c1 = beta * decay
-    # exp(-gt) underflows to 0 long before 2 gt overflows to inf, whose
-    # product with it would be nan
-    c2 = beta * math.sqrt(2.0 * gt) * decay if decay > 0.0 else 0.0
-    radicand = 1.0 - alpha * alpha - c1 * c1 - c2 * c2
-    if -1e-14 <= radicand < 0.0:
-        radicand = 0.0
-    c3 = math.sqrt(radicand)
-    return ReservoirAmplitudes(c1, c2, c3, alpha)
+    c1, c2, c3 = _reservoir_branches(alpha, gt, _raise_unless)
+    return ReservoirAmplitudes(float(c1), float(c2), float(c3), alpha)
+
+
+def _example5(alpha, gt, check):
+    c1, c2, c3 = _reservoir_branches(alpha, gt, check)
+    m0, m1, m2, m3 = alpha * alpha, c1 * c1, c2 * c2, c3 * c3
+    _normalized((m0, m1, m2, m3), check)
+    return m0 + m3, m2 / 2.0, m2 / 2.0, m1, alpha * c1, m2 / 2.0
 
 
 def example5(alpha: float, gt: float) -> XStateParams:
     """Reduced two-atom state of the collective-decay model at gamma*t.
 
     d = (alpha^2 + c3^2, c2^2/2, c2^2/2, c1^2) with corners a12 = c2^2/2
-    and a03 = alpha*c1.
+    and a03 = alpha*c1; the amplitudes are those of reservoir_amplitudes.
     """
-    r = reservoir_amplitudes(alpha, gt)
-    return XStateParams(
-        alpha * alpha + r.c3**2,
-        r.c2**2 / 2.0,
-        r.c2**2 / 2.0,
-        r.c1**2,
-        alpha * r.c1,
-        r.c2**2 / 2.0,
-    )
+    return XStateParams(*_example5(alpha, gt, _raise_unless))
+
+
+_FAMILIES = {"ex1": _example1, "ex2": _example2, "ex3": _example3,
+             "ex4": _example4, "ex5": _example5}
+
+
+def example_rows(example_id: str, *args) -> tuple[list[np.ndarray], np.ndarray]:
+    """A family over arrays of its arguments, in one array pass.
+
+    example_id is one of 'ex1'..'ex5' and args are the arguments of
+    example1..example5, arrays or floats, which broadcast.  Returns the six
+    columns (d0, d1, d2, d3, |a03|, |a12|) as equal-length arrays, ready for
+    ``x_measures_columns``, and a boolean array of the rows the scalar
+    constructor accepts: its domain rules, the amplitude normalization of
+    ex4 and ex5 and XStateParams' validity rule, each evaluated by the same
+    code as in the scalar constructor.  An accepted row holds that
+    constructor's XStateParams fields bit for bit, corners by modulus.
+    Rejected rows hold whatever the arithmetic gave, without a
+    floating-point warning; the scalar constructor on such a row raises
+    the rule's error.
+    """
+    checks = _RowChecks()
+    with np.errstate(all="ignore"):
+        *d, a03, a12 = np.broadcast_arrays(*_FAMILIES[example_id](*args, checks))
+        columns = [*d, np.abs(a03), np.abs(a12)]
+        accepted = checks.holds & x_params_accepted(*columns)
+    return columns, accepted
 
 
 def example_reference(example_id: str, measure: str, a: float) -> float:

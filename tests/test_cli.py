@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -291,11 +292,66 @@ class TestSweep:
         ["--example", "ex4", "--range", "0:1:33", "--alpha", "0.3"],
         ["--example", "ex5", "--range", "0:5:501", "--alpha", "0.6"],
         ["--example", "ex5", "--range", "0:1e308:3"],
+        ["--example", "ex4", "--range", "0:2:101", "--alpha", "0.3"],
+        ["--example", "ex4", "--range", "0.1:3:501", "--alpha", "0.9"],
+        ["--example", "ex5", "--range", "0:5:101", "--alpha", "0.2"],
+        ["--example", "ex5", "--range", "0.5:40:501", "--alpha", "0.95"],
     ])
     def test_rows_match_scalar_route(self, argv, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == _scalar_sweep_csv(argv)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--example", "ex1", "--range", "0.01:1:100"],
+         "26d8230ca8e2e9145755dbe012daa835dcaece4d16b659b6d39567657f577872"),
+        (["--example", "ex1", "--range", "0.001:1:501"],
+         "5cab7b21d6856e508b2c02811d83cde74da297bf0f01e083214a676c05242619"),
+        (["--example", "ex2", "--range", "0:1:101"],
+         "530b6c852bf6c8d63815185a117338749228fc07797806cd8fa43d4e8b49d0be"),
+        (["--example", "ex2", "--range", "0.2:0.9:1001"],
+         "c9c5573545404a6b67ecd0311ebad24a1880adb0b30867973eee9df7f0080763"),
+        (["--example", "ex3", "--range", "1:0:51"],
+         "eb3402310fc709fe1ee75a63f99373d0d7443285b4a1c1aaa33d3401ef986827"),
+        (["--example", "ex3", "--range", "0:1:777"],
+         "fbd2e66d3dc71c611dd18de0e621c41802f36326cc5b0d30413b463021007f8e"),
+    ])
+    def test_static_family_bytes_are_stable(self, argv, digest, tmp_path):
+        # ex1-ex3 rows use only +, -, * and / (linspace, the family, the
+        # closed forms), so their CSV bytes are the same on every platform
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--example", "ex1", "--range", "1:-1:5"], EXIT_USAGE,
+         "error: example1 needs a in (0, 1], got 0.0\n"),
+        (["--example", "ex2", "--range", "0.5:1.5:3"], EXIT_USAGE,
+         "error: example2 needs a in [0, 1], got 1.5\n"),
+        (["--example", "ex3", "--range", "0:2:5"], EXIT_USAGE,
+         "error: example3 needs a in [0, 1], got 1.5\n"),
+        (["--example", "ex4", "--range", "1:-1:5"], EXIT_USAGE,
+         "error: gt must be nonnegative, got -1.282549830161864\n"),
+        (["--example", "ex4", "--range", "0:1e308:3"], EXIT_USAGE,
+         "error: alpha, beta, gt must be finite\n"),
+        (["--example", "ex5", "--range", "1:-1:3"], EXIT_USAGE,
+         "error: gt must be finite and nonnegative, got -1.0\n"),
+    ])
+    def test_first_bad_row_mid_range(self, argv, code, err, tmp_path, capsys):
+        # the rows before the first out-of-domain one are fine; it alone
+        # decides the exit code and the message, and nothing is written
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_first_invalid_row_mid_range(self, tmp_path, capsys, monkeypatch):
+        _reject_ex1_rows(monkeypatch, above=0.5)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--example", "ex1", "--range", "0.1:1:4",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: populations must sum to 1, got 2.0\n"
+        assert not out.exists()
 
     def test_csv_shape_and_minimum(self, tmp_path):
         out = tmp_path / "ex3.csv"
@@ -394,7 +450,7 @@ class TestSweep:
         assert "must be finite" in capsys.readouterr().err
 
     def test_invalid_family_point_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "example1", lambda a: XStateParams(0.5, 0.5, 0.5, 0.5))
+        _reject_ex1_rows(monkeypatch, above=0.0)
         code = main(["sweep", "--example", "ex1", "--range", "0.1:1:3",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_VALIDATION
@@ -403,19 +459,101 @@ class TestSweep:
     def test_guard_checks_rows_in_parameter_order(self, tmp_path, monkeypatch):
         # a two-sided value below the one-sided one on a row before the first
         # rejected point raises, as a row-by-row loop would, and writes nothing
-        monkeypatch.setattr(
-            cli, "example1",
-            lambda a: XStateParams(0.5, 0.5, 0.5, 0.5) if a > 0.5 else example1(a))
+        _reject_ex1_rows(monkeypatch, above=0.5)
 
-        def inverted(points):
-            n = len(list(points))
+        def inverted(*columns):
+            n = len(columns[0])
             return np.ones(n), np.zeros(n)
 
-        monkeypatch.setattr(cli, "x_measures", inverted)
+        monkeypatch.setattr(cli, "x_measures_columns", inverted)
         out = tmp_path / "x.csv"
         with pytest.raises(RuntimeError, match="two-sided value fell below one-sided at param 0.1$"):
             main(["sweep", "--example", "ex1", "--range", "0.1:1:3", "--out", str(out)])
         assert not out.exists()
+
+
+def _reject_ex1_rows(monkeypatch, above):
+    """Make ex1's rows at a > above the invalid X state d = (1/2, 1/2, 1/2,
+    1/2), both in the sweep's array pass and in the scalar constructor that
+    reports the first rejected row."""
+    family_rows = cli.example_rows
+
+    def example_rows(example, a):
+        columns, accepted = family_rows(example, a)
+        bad = a > above
+        columns = [np.where(bad, 0.5 if i < 4 else 0.0, c) for i, c in enumerate(columns)]
+        return columns, accepted & measures.x_params_accepted(*columns)
+
+    monkeypatch.setattr(cli, "example_rows", example_rows)
+    monkeypatch.setattr(
+        cli, "example1",
+        lambda a: XStateParams(0.5, 0.5, 0.5, 0.5) if a > above else example1(a))
+
+
+def _rule_edge_rows() -> list[list[float]]:
+    """Rows (d0, d1, d2, d3, |a03|, |a12|) on and around every bound of the
+    X-state validity rule: corners at sqrt(d0 d3) and sqrt(d1 d2) plus and
+    minus the 1e-12 slack, population sums at 1 +/- 1e-12, populations at
+    -1e-12 and -0.0, give or take an ulp each, and NaN or inf in each
+    column."""
+    def around(x):
+        return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+    d = [0.3, 0.2, 0.1, 0.4]
+    b03, b12 = np.sqrt(0.3 * 0.4), np.sqrt(0.2 * 0.1)
+    rows = []
+    for slack in (1e-12, -1e-12):
+        rows += [[*d, m, 0.1] for m in around(b03 + slack)]
+        rows += [[*d, 0.1, m] for m in around(b12 + slack)]
+        for d3 in around(0.4 + slack) + around(around(0.4 + slack)[0])[:1]:
+            rows += [[0.3, 0.2, 0.1, d3, 0.0, 0.0], [0.3, 0.2, 0.1, d3, 0.2, 0.1]]
+    for p in around(-1e-12) + [-0.0]:
+        for corner in (0.0, 1e-12, 0.1):
+            rows += [[p, 0.5, 0.1, 0.4 - p, corner, 0.0], [0.3, p, 0.3 - p, 0.4, 0.0, corner]]
+    for column in range(6):
+        for bad in (np.nan, np.inf, -np.inf):
+            row = [*d, 0.1, 0.1]
+            row[column] = bad
+            rows.append(row)
+    return rows
+
+
+class TestSweepValidation:
+    # the sweep's array check and XStateParams share one rule: they accept
+    # and reject the same rows, and the first rejected row reports the
+    # constructor's own message
+
+    def test_array_rule_is_the_constructors(self):
+        rows = _rule_edge_rows()
+        accepted = measures.x_params_accepted(*np.array(rows).T)
+        for row, ok in zip(rows, accepted.tolist()):
+            try:
+                XStateParams(*row)
+            except ValueError:
+                assert not ok, row
+            else:
+                assert ok, row
+        assert 0 < accepted.sum() < len(rows)
+
+    def test_first_rejected_row_message(self, tmp_path, capsys, monkeypatch):
+        rows = np.array(_rule_edge_rows())
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            order = rows[rng.permutation(len(rows))]
+            monkeypatch.setattr(
+                cli, "example_rows",
+                lambda example, a: (list(order.T), measures.x_params_accepted(*order.T)))
+            monkeypatch.setattr(cli, "example1", lambda a: XStateParams(*order[int(a)]))
+            for row in order:  # the row-by-row loop's first rejection
+                try:
+                    XStateParams(*row)
+                except ValueError as exc:
+                    want = f"error: {exc}\n"
+                    break
+            code = main(["sweep", "--example", "ex1", "--range", f"0:{len(rows) - 1}:{len(rows)}",
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == EXIT_VALIDATION
+            assert capsys.readouterr().err == want
 
 
 _ODD_FLOATS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0, 1.0)

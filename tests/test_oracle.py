@@ -35,11 +35,19 @@ from geodiscord.oracle import (
     _best_b,
     _grid_tables,
     _row_map,
+    _one_sided,
     _scan_angles,
-    _side_a_rows,
+    _two_sided,
     _weights,
     _window,
 )
+
+def _rows_and_scores(m, w):
+    """Each side-A axis's r_k, one-sided score and two-sided score, from the
+    oracle's two scorers."""
+    r, two_sided = _two_sided(m, w)
+    return r, _one_sided(m, w), two_sided
+
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 COARSE = GridSpec(n_theta=16, n_phi=32, refine_iters=2)
@@ -136,7 +144,7 @@ def _literal_pairs(rho4, th_a, ph_a, th_b, ph_b):
 
 
 def _pauli_rows(rho4, th, ph):
-    """_side_a_rows by the literal construction: r_k,i = tr(sigma_k
+    """_rows_and_scores by the literal construction: r_k,i = tr(sigma_k
     sigma_i) / 2 from Pauli traces of the conditional blocks, then c =
     sum_k t_k^2 / 2 plus twice the top eigenvalue of M = sum_k r_k r_k^T."""
     sig = _conditional_a(rho4, _projectors(th, ph))
@@ -149,7 +157,7 @@ def _pauli_rows(rho4, th, ph):
 def _elementwise_scores(rho4, proj):
     """The scorers as elementwise expressions of the conditional blocks:
     one-sided dephased purities as squared real and imaginary parts, and
-    _side_a_rows's r_k and b-sphere maximum from the blocks' transposed
+    _rows_and_scores's r_k and b-sphere maximum from the blocks' transposed
     entries, be_k taken from the Hermitian part."""
     sig = _conditional_a(rho4, proj)
     one = (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
@@ -323,7 +331,7 @@ class TestObjectiveIdentity:
         for _ in range(20):
             state = random_density(rng)
             ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            r, _, bound = _side_a_rows(
+            r, _, bound = _rows_and_scores(
                 _row_map(state.matrix.reshape(2, 2, 2, 2)), _weights(_unit(np.array([ta]), np.array([pa])))
             )
             literal = purity(
@@ -345,7 +353,7 @@ class TestObjectiveIdentity:
                 rho4 = state.matrix.reshape(2, 2, 2, 2)
                 if side == "b":
                     rho4 = rho4.transpose(1, 0, 3, 2)
-                vals = _side_a_rows(_row_map(rho4), _weights(_unit(np.array([ta]), np.array([pa]))))[1]
+                vals = _one_sided(_row_map(rho4), _weights(_unit(np.array([ta]), np.array([pa]))))
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
@@ -360,7 +368,7 @@ class TestTwoSidedScan:
         # score exceeds it by 2 lmin(G) >= 0, GD <= GGQD axis by axis
         for state in _fused_family() + _near_mixed_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            r, one, bound = _side_a_rows(_row_map(rho4), COARSE_W)
+            r, one, bound = _rows_and_scores(_row_map(rho4), COARSE_W)
             b = np.array([_best_b(r[:, :, i]) for i in range(COARSE_TH.size)])
             at_best = _outcome_purity(_conditional_a(rho4, COARSE_PROJ), _kets(*_angles(b)))
             assert np.abs(at_best - bound).max() <= 1e-15
@@ -374,7 +382,7 @@ class TestTwoSidedScan:
         # on the grid, so only rounding separates the two
         for state in _bound_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            bound = _side_a_rows(_row_map(rho4), COARSE_W)[2]
+            bound = _rows_and_scores(_row_map(rho4), COARSE_W)[2]
             grid = _literal_pairs(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
             assert np.all(grid.max(axis=1) <= bound + 1e-15)
 
@@ -387,7 +395,7 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=2)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
             rho4 = states[k].matrix.reshape(2, 2, 2, 2)
-            bound = _side_a_rows(_row_map(rho4), _weights(_unit(th, ph)))[2]
+            bound = _rows_and_scores(_row_map(rho4), _weights(_unit(th, ph)))[2]
             for ta, pa, top in zip(th, ph, bound):
                 assert top - _sampled_row_max(rho4, ta, pa, rng) <= 1e-6
 
@@ -425,7 +433,7 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            r, _, bound = _side_a_rows(_row_map(rho4), _weights(_unit(th, ph)))
+            r, _, bound = _rows_and_scores(_row_map(rho4), _weights(_unit(th, ph)))
             ref_r, ref_bound = _pauli_rows(rho4, th, ph)
             assert np.abs(r - ref_r).max() <= 4e-16
             assert np.abs(bound - ref_bound).max() <= 1e-15
@@ -445,7 +453,7 @@ class TestTwoSidedScan:
             rho4 = st.matrix.reshape(2, 2, 2, 2)
             for n, w in tables:
                 one, ref_r, ref_bound = _elementwise_scores(rho4, _projectors(*_angles(n)))
-                r, one_sided, bound = _side_a_rows(_row_map(rho4), w)
+                r, one_sided, bound = _rows_and_scores(_row_map(rho4), w)
                 assert np.abs(one_sided - one).max() <= 2e-15
                 assert np.abs(r - ref_r).max() <= 2e-15
                 assert np.abs(bound - ref_bound).max() <= 2e-15
@@ -479,7 +487,7 @@ class TestTwoSidedScan:
         # every axis scores c = 1/4, and b* is the z axis by the tie rule
         m = _row_map(maximally_mixed().matrix.reshape(2, 2, 2, 2))
         for w in (COARSE_W, _grid_tables(REFERENCE_GRID)[1]):
-            r, one, bound = _side_a_rows(m, w)
+            r, one, bound = _rows_and_scores(m, w)
             assert np.all(r == 0.0)
             assert np.all(one == 0.25) and np.all(bound == 0.25)
             assert np.array_equal(_best_b(r[:, :, 0]), [0.0, 0.0, 1.0])
