@@ -18,6 +18,7 @@ optimizer whose starts do not converge), 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -548,8 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call and reused for the rest of the
+# process: it holds nothing that depends on the input, and every call parses
+# its own argv.  build_parser() returns a new parser on each call, so a caller
+# that changes its own cannot change this one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "compute":
         return cmd_compute(args)
     if args.command == "sweep":

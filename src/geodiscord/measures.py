@@ -424,12 +424,15 @@ def _polynomial_limit(path: np.ndarray) -> np.ndarray:
     returned up to sign, as a unit vector, or b3 when it vanishes (u0 and u1
     parallel, or no move).
     """
-    moves = np.diff(path, axis=1)
+    moves = path[:, 1:] - path[:, :-1]
     g = moves @ np.swapaxes(moves, 1, 2)  # g[:, i, j] = u_i . u_j
     (g00, g01, g02), (g11, g12) = g[:, 0].T, g[:, 1, 1:].T
-    weights = [g01 * g12 - g11 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01]
-    limit = sum(w[:, None] * path[:, j] for j, w in enumerate(weights, start=1))
-    norm = np.linalg.norm(limit, axis=-1, keepdims=True)
+    limit = (
+        (g01 * g12 - g11 * g02)[:, None] * path[:, 1]
+        + (g01 * g02 - g00 * g12)[:, None] * path[:, 2]
+        + (g00 * g11 - g01 * g01)[:, None] * path[:, 3]
+    )
+    norm = np.sqrt((limit * limit).sum(axis=-1, keepdims=True))
     return np.where(norm > 0.0, limit, path[:, -1]) / np.where(norm > 0.0, norm, 1.0)
 
 
@@ -478,15 +481,15 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
             active = np.argsort(value)[-3:]
         if endgame and np.ptp(value[active]) <= _AGREE_TOL:
             break
-        path = [b[active]]
-        for _ in range(_STEP_SWEEPS):
-            new = b_step(a_step(path[-1]))
+        path = np.empty((active.size, _STEP_SWEEPS + 1, 3))
+        path[:, 0] = last = b[active]
+        for j in range(1, _STEP_SWEEPS + 1):
+            new = b_step(a_step(last))
             # b and -b are one measurement: orient new so new - old is the move
-            new *= np.where((new * path[-1]).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
-            path.append(new)
-        path = np.stack(path, axis=1)
+            new *= np.where((new * last).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
+            path[:, j] = last = new
         trial = path[:, -1:] + _EXTRAPOLATION[:, None] * (path[:, -1:] - path[:, -2:-1])
-        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial /= np.sqrt((trial * trial).sum(axis=-1, keepdims=True))
         trial = np.concatenate([trial, _polynomial_limit(path)[:, None]], axis=1)
         trial_value = objective(trial.reshape(-1, 3)).reshape(trial.shape[:2])
         rows, pick = np.arange(len(active)), trial_value.argmax(axis=1)

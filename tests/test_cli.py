@@ -1,5 +1,6 @@
 """File formats, command dispatch, exit codes, and output determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -664,3 +665,76 @@ class TestVerify:
         code = main(["verify", "--trials", "1", "--out", "/no-such-dir/r.txt"])
         assert code == EXIT_UNWRITABLE
         assert "cannot write" in capsys.readouterr().err
+
+
+# calls in an order that would expose state a shared parser kept between
+# them: a default after an explicit value, a usage error between two valid
+# calls, an optional --out left out, then another command
+_REUSE_SEQUENCE = [
+    ["sweep", "--example", "ex5", "--range", "0:2:21", "--alpha", "0.3", "--out", "a.csv"],
+    ["sweep", "--example", "ex5", "--range", "0:2:21", "--out", "b.csv"],
+    ["sweep", "--example", "ex6", "--range", "0:1:3", "--out", "c.csv"],
+    ["sweep", "--example", "ex4", "--range", "0:1:11", "--out", "d.csv"],
+    ["verify", "--seed", "7", "--trials", "1", "--out", "report.txt"],
+    ["verify", "--seed", "8", "--trials", "1"],
+    ["compute", "bell.x", "--method", "numeric"],
+]
+
+
+def _run_sequence(directory, monkeypatch):
+    """Each call's exit code, stdout, stderr and the files in directory after it."""
+    directory.mkdir()
+    (directory / "bell.x").write_text(BELL_X, encoding="utf-8")
+    monkeypatch.chdir(directory)
+    results = []
+    for argv in _REUSE_SEQUENCE:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        results.append((code, out.getvalue(), err.getvalue(), files))
+    return results
+
+
+class TestParserReuse:
+    def test_calls_match_fresh_parsers(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            reference = _run_sequence(tmp_path / "fresh", fresh)
+        shared = _run_sequence(tmp_path / "shared", monkeypatch)
+        assert [r[0] for r in reference] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK,
+                                             EXIT_VERIFY_FAILED, EXIT_VERIFY_FAILED, EXIT_OK]
+        assert "invalid choice: 'ex6'" in reference[2][2]
+        assert "report.txt" not in reference[3][3] and "report.txt" in reference[4][3]
+        for argv, ref, got in zip(_REUSE_SEQUENCE, reference, shared):
+            assert got == ref, argv
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        first = cli.build_parser()
+        assert cli.build_parser() is not first
+        assert first is not cli._parser()
+        first.add_argument("--extra", required=True)
+        assert main(["verify", "--seed", "3", "--trials", "1"]) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().err == ""
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        path = write(tmp_path, "bell.x", BELL_X)
+        assert main(["compute", path]) == EXIT_OK
+        assert main(["sweep", "--example", "ex1", "--range", "0.1:1:4",
+                     "--out", str(tmp_path / "ex1.csv")]) == EXIT_OK
+        assert main(["compute", path, "--measure", "gd"]) == EXIT_OK
+        # one top-level parser and its three subparsers
+        assert built == ["geodiscord", "geodiscord compute", "geodiscord sweep",
+                         "geodiscord verify"]

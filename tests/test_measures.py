@@ -21,6 +21,7 @@ from geodiscord import (
     example5,
     example_reference,
     gap_x,
+    gd_bruteforce,
     gd_dakic,
     gd_x,
     ggqd_bruteforce,
@@ -425,6 +426,16 @@ class TestTwoSidedAscent:
         # the base grid's best point on it, stops 1.5e-7 above the ascent
         st = validate_density(degenerate_t_state(np.random.default_rng(48)))
         assert ggqd_bruteforce(st).value - 1e-10 <= ggqd_general(st).value
+
+    @pytest.mark.xfail(
+        strict=True, reason="gd_bruteforce stops short on a flat ring of maxima (ROADMAP item 2)"
+    )
+    def test_one_sided_oracle_reaches_degenerate_t_maximum(self):
+        # the one-sided search misses on the same kind of ring: on this state
+        # it stops 2.6e-6 above the closed form, the worst of its 42 misses
+        # beyond 1e-10 on the states of seeds 0-119
+        st = validate_density(degenerate_t_state(np.random.default_rng(66)))
+        assert gd_bruteforce(st).value <= gd_dakic(st).value + 1e-10
 
     def test_flat_ring_converges(self, monkeypatch):
         # on this nearly flat ring the ascent used all 20 000 sweeps with the
