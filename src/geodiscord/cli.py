@@ -84,18 +84,21 @@ def _split_numbers(line: str, line_no: int, expect: int) -> list[float]:
         raise StateFileError(
             f"line {line_no}: expected {expect} numbers, found {len(tokens)}"
         )
-    values = []
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError:
+        pass
+    # some token is bad: find the first one and its column
     cursor = 0
     for tok in tokens:
         col = line.index(tok, cursor) + 1
         cursor = col - 1 + len(tok)
         try:
-            values.append(float(tok))
+            float(tok)
         except ValueError:
             raise StateFileError(
                 f"line {line_no}, column {col}: cannot parse {tok!r} as a number"
             ) from None
-    return values
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

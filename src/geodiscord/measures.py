@@ -35,9 +35,10 @@ it.  Each step of the ascent makes three sweeps and keeps the best of the
 plain result, the side-B axis moved on along its last move, and the
 minimal-polynomial limit of the three sweeps.  The starts are the best points
 of a 512-point Fibonacci lattice on each side, chosen inside the shared
-ascent; each steps until it stalls, the best three step on until they agree,
-and OptimizerDidNotConverge is raised when they still differ by more than
-1e-9.
+ascent; each steps until it stalls or could no longer catch the best, and
+all stop at once when a step's first sweep raises none of them.  The best
+three then step on until they agree, and OptimizerDidNotConverge is raised
+when they still differ by more than 1e-9.
 An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
 a biquadratic form recovered from literal block-matrix products and serves as
 a cross-check of :func:`ggqd_general`.
@@ -364,14 +365,15 @@ def gap_x(p: XStateParams) -> float:
 def _canonical_axis(v: np.ndarray) -> MeasurementAxis:
     """Unit axis with a deterministic overall sign."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    # math.sqrt(v @ v) is np.linalg.norm's own arithmetic on a 1-D vector
+    n = math.sqrt(v @ v)
     if n == 0.0:
         return AXIS_Z
     v = v / n
-    lead = np.flatnonzero(np.abs(v) > 1e-14)
-    if lead.size and v[lead[0]] < 0.0:
+    lead = next((c for c in v.tolist() if abs(c) > 1e-14), 0.0)
+    if lead < 0.0:
         v = -v
-    return MeasurementAxis(v / np.linalg.norm(v))
+    return MeasurementAxis(v / math.sqrt(v @ v))
 
 
 def gd_dakic(state: DensityMatrix4) -> MeasureResult:
@@ -403,7 +405,7 @@ def _fibonacci_lattice(n: int) -> np.ndarray:
 _LATTICE = _fibonacci_lattice(512)
 _LATTICE_SEEDS = 12  # best lattice points kept as starts
 _STEP_SWEEPS = 3  # plain sweeps per ascent step, the extrapolation's window
-_RISE_TOL = 1e-13  # a start stops once one step raises it by no more
+_RISE_TOL = 1e-13  # a start stops once one step raises it by no more, all once a sweep does
 _AGREE_TOL = 1e-12  # the best three stop once they agree this closely
 _SPREAD_TOL = 1e-9  # guard: accepted spread of the best three starts
 _MAX_SWEEPS = 20_000  # sweeps in all, both stages
@@ -458,10 +460,19 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
     convergence seen when two singular values of the cross term nearly
     coincide; the limit removes it where the maxima form a nearly flat
     ring, as when T has two equal singular values and x, y are small,
-    where any large multiple would also amplify the step's fast mode.  Every
-    start steps until one step raises it by at most _RISE_TOL; the best
-    three then step on until they agree within _AGREE_TOL or none of them
-    rises, with _MAX_SWEEPS sweeps in all.
+    where any large multiple would also amplify the step's fast mode.
+
+    Stage one steps all starts.  Each of its steps begins with one plain
+    sweep of the active starts, scored by objective; when it raises none of
+    them by more than _RISE_TOL, stage one ends there, each start keeping
+    the better of its point and the swept one, and the step's other sweeps
+    and trial points are skipped.  Otherwise the step goes on from that
+    sweep.  After a step, a start retires when the step raised it by at
+    most _RISE_TOL, or when its value plus that rise times the steps left
+    in the budget stays below the best value: rising at its last rate, it
+    could not catch the best before the budget ran out.  Stage two steps
+    the best three of all starts, retired ones included, until they agree
+    within _AGREE_TOL or none of them rises, with _MAX_SWEEPS sweeps in all.
 
     Returns (a, b, objective(b)) of the best start, with a = a_step(b) from
     one closing a-step.  Raises OptimizerDidNotConverge when the best three
@@ -471,11 +482,19 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
         _LATTICE[np.argsort(score(_LATTICE))[-_LATTICE_SEEDS:]]
         for score in (objective, objective_a)
     )
+
+    def sweep(last):
+        new = b_step(a_step(last))
+        # b and -b are one measurement: orient new so new - old is the move
+        new *= np.where((new * last).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
+        return new
+
     b = np.concatenate([b_seeds, b_step(a_seeds)])
     value = objective(b)
     active = np.arange(len(b))
     endgame = False
-    for _ in range(_MAX_SWEEPS // _STEP_SWEEPS):
+    steps = _MAX_SWEEPS // _STEP_SWEEPS
+    for step in range(steps):
         if not endgame and active.size == 0:
             endgame = True
             active = np.argsort(value)[-3:]
@@ -483,11 +502,18 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
             break
         path = np.empty((active.size, _STEP_SWEEPS + 1, 3))
         path[:, 0] = last = b[active]
-        for j in range(1, _STEP_SWEEPS + 1):
-            new = b_step(a_step(last))
-            # b and -b are one measurement: orient new so new - old is the move
-            new *= np.where((new * last).sum(axis=-1) < 0.0, -1.0, 1.0)[:, None]
-            path[:, j] = last = new
+        path[:, 1] = last = sweep(last)
+        if not endgame:
+            swept = objective(last)
+            if (swept - value[active]).max() <= _RISE_TOL:
+                # a quiet first sweep ends stage one; each start keeps its better point
+                rose = swept > value[active]
+                b[active[rose]] = last[rose]
+                value[active[rose]] = swept[rose]
+                active = active[:0]
+                continue
+        for j in range(2, _STEP_SWEEPS + 1):
+            path[:, j] = last = sweep(last)
         trial = path[:, -1:] + _EXTRAPOLATION[:, None] * (path[:, -1:] - path[:, -2:-1])
         trial /= np.sqrt((trial * trial).sum(axis=-1, keepdims=True))
         trial = np.concatenate([trial, _polynomial_limit(path)[:, None]], axis=1)
@@ -498,7 +524,9 @@ def _eigen_ascent(a_step, b_step, objective, objective_a):
         rise = top - value[active]
         value[active] = top
         if not endgame:
-            active = active[rise > _RISE_TOL]
+            # retire a start that stalls, or that cannot catch the best at its last rise
+            reach = value[active] + rise * (steps - 1 - step)
+            active = active[(rise > _RISE_TOL) & (reach >= value.max())]
         elif rise.max() <= 0.0:
             break
     order = np.argsort(value)
@@ -586,9 +614,12 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     still never decreases, and when T has two close or equal singular
     values the slow linear convergence of the plain ascent, which can take
     the whole sweep budget, is cut to a few dozen sweeps in most cases.
-    Each start steps until its 2 f(b) rises by at most 1e-13 per step; the
-    best three then step on until they agree within 1e-12 or stop rising,
-    with 20 000 sweeps in all at most.  The best start is picked by the
+    Each start steps until its 2 f(b) rises by at most 1e-13 per step, or
+    until, rising at its last step's rate for the rest of the budget, it
+    could not catch the best start; all stop at once when the first sweep
+    of a step raises none of them by more than 1e-13.  The best three then
+    step on until they agree within 1e-12 or stop rising, with 20 000
+    sweeps in all at most.  The best start is picked by the
     closed form f(b), not by the last eigenvalue, and the returned value is
     (|x|^2 + |y|^2 + |T|^2 - f(b*)) / 4.
 
@@ -691,7 +722,9 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     objective.  The objective maximized over a is
     c0 + b^t qb b + lam_max(qa + G(b)), and over b the mirror image.  The
     starts, the three-sweep steps with their extrapolations, the stopping
-    rule and the guard are the shared ones of :func:`_eigen_ascent`, as for
+    rule (a start stops when it stalls or could not catch the best at its
+    last rate, and all stop when a step's first sweep raises none of them)
+    and the guard are the shared ones of :func:`_eigen_ascent`, as for
     :func:`ggqd_general`.  W is scaled by 8 first, so that the ascent sees
     8 x the dephased purity (1 + f)/4 = 2 + 2 f, which rises as
     ggqd_general's 2 f does and so meets the same tolerances:

@@ -87,6 +87,23 @@ class TestParsing:
         with pytest.raises(StateFileError, match="line 2, column 5"):
             parse_state_text("X\n0.4 oops 0.3 0.3\n0 0 0 0\n")
 
+    @pytest.mark.parametrize(
+        "row, column, token",
+        [
+            ("0.4 0.4 0.4x 0.3", 9, "0.4x"),  # earlier tokens are prefixes of it
+            ("1e5 e5 0.3 0.2", 5, "e5"),  # it also occurs inside an earlier token
+            ("   0.4 oops 0.3 0.3", 8, "oops"),  # leading spaces count
+        ],
+    )
+    def test_bad_token_column(self, tmp_path, capsys, row, column, token):
+        text = f"X\n{row}\n0 0 0 0\n"
+        message = f"line 2, column {column}: cannot parse {token!r} as a number"
+        with pytest.raises(StateFileError) as err:
+            parse_state_text(text)
+        assert str(err.value) == message
+        assert main(["compute", write(tmp_path, "bad.x", text)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_wrong_token_count(self):
         with pytest.raises(StateFileError, match="expected 4 numbers"):
             parse_state_text("X\n0.4 0.3\n0 0 0 0\n")

@@ -378,6 +378,14 @@ def degenerate_t_state(rng):
     return u @ m @ u.conj().T
 
 
+def count_steps(monkeypatch):
+    """Record each call of ggqd_general's closed-form step, two per sweep."""
+    calls = []
+    rank2_top = measures._rank2_top
+    monkeypatch.setattr(measures, "_rank2_top", lambda u, v: calls.append(1) or rank2_top(u, v))
+    return calls
+
+
 def adversarial_states(kind):
     """Families where two-sided searches have degenerate or flat landscapes."""
     rng = np.random.default_rng(40)
@@ -443,11 +451,7 @@ class TestTwoSidedAscent:
         # stopped 2.7e-10 apart; with the minimal-polynomial limit of each
         # step's three sweeps it needs 258
         st = validate_density(degenerate_t_state(np.random.default_rng(1110)))
-        calls = []
-        rank2_top = measures._rank2_top
-        monkeypatch.setattr(
-            measures, "_rank2_top", lambda u, v: calls.append(1) or rank2_top(u, v)
-        )
+        calls = count_steps(monkeypatch)
         value = ggqd_general(st).value
         assert (len(calls) - 2) // 2 < 1000  # two steps per sweep
         assert value == pytest.approx(ggqd_matrix_form(st).value, abs=1e-13)
@@ -493,14 +497,46 @@ class TestTwoSidedAscent:
             0.0018533264491703435 - 0.26981860858180895j,
             2.4961365755356412e-05 - 1.5048980987870726e-05j,
         )
-        calls = []
-        rank2_top = measures._rank2_top
-        monkeypatch.setattr(
-            measures, "_rank2_top", lambda u, v: calls.append(1) or rank2_top(u, v)
-        )
+        calls = count_steps(monkeypatch)
         value = ggqd_general(x_state(p)).value
         assert value == pytest.approx(ggqd_x(normalize_x_phases(p).normalized).value, abs=1e-12)
         assert (len(calls) - 2) // 2 < 100  # two steps per sweep
+
+    @pytest.mark.parametrize("p", [None, 0.1, 1 / 3, 0.6, 1.0])
+    def test_quiet_first_sweep_ends_stage_one(self, monkeypatch, p):
+        # every start of I/4 and of these Werner states begins at a maximum,
+        # so stage one ends on its first sweep: one b-step for the side-A
+        # starts, one sweep (two steps) and the closing a-step; a full
+        # three-sweep step would make eight
+        st = maximally_mixed() if p is None else validate_density(werner_state(p))
+        calls = count_steps(monkeypatch)
+        ggqd_general(st)
+        assert len(calls) == 4
+
+    def test_far_below_starts_retire(self, monkeypatch):
+        # state #362 of this pool: a start crawling along the flat ring far
+        # below the best used 19 998 of the 20 000 sweeps before such starts
+        # were retired; the value did not move
+        rng = np.random.default_rng(2026)
+        for _ in range(363):
+            m = degenerate_t_state(rng)
+        st = validate_density(m)
+        calls = count_steps(monkeypatch)
+        value = ggqd_general(st).value
+        assert (len(calls) - 2) // 2 < 100  # two steps per sweep
+        assert value == pytest.approx(ggqd_matrix_form(st).value, abs=1e-13)
+        assert value <= ggqd_bruteforce(st).value + 1e-12
+
+    def test_second_maximum_start_retires(self, monkeypatch):
+        # X state #745 of this pool: a start crawling toward a second maximum
+        # 4e-4 below the top took 294 sweeps before it was retired
+        rng = np.random.default_rng(11)
+        for _ in range(746):
+            p = random_x_params(rng)
+        calls = count_steps(monkeypatch)
+        value = ggqd_general(x_state(p)).value
+        assert (len(calls) - 2) // 2 < 100  # two steps per sweep
+        assert value == pytest.approx(ggqd_x(normalize_x_phases(p).normalized).value, abs=1e-12)
 
     def test_guard_fires_when_sweeps_run_out(self, monkeypatch):
         monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
