@@ -100,15 +100,19 @@ def _check_density(m: np.ndarray) -> None:
         raise NonFinite("matrix entries must be finite", [("non_finite", np.inf)])
 
     violations = []
-    herm_dev = float(np.abs(m - m.conj().T).max())
+    # entries near the float limit can make a deviation overflow to inf,
+    # which still names the violated invariant
+    with np.errstate(over="ignore"):
+        herm_dev = float(np.abs(m - m.conj().T).max())
+        trace_dev = float(abs(np.trace(m) - 1.0))
     if herm_dev > TOL_HERM:
         violations.append(("not_hermitian", herm_dev))
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
     if trace_dev > TOL_TRACE:
         violations.append(("trace_not_one", trace_dev))
     # Eigenvalues of the Hermitian part; for near-Hermitian input this is the
     # PSD check, for badly non-Hermitian input the verdict is moot anyway.
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    # Halving before the sum keeps every entry finite for LAPACK.
+    eigs = np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)
     if eigs[0] < -TOL_PSD:
         violations.append(("not_psd", float(-eigs[0])))
 

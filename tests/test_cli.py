@@ -191,6 +191,24 @@ class TestCompute:
         assert "gd = " in captured.out
         assert captured.err.startswith("error: best starts disagree")
 
+    @pytest.mark.parametrize("route", [["--method", "numeric"],
+                                       ["--method", "analytic", "--measure", "gd"]])
+    def test_imaginary_residue_exit(self, tmp_path, capsys, route):
+        # Hermitian within TOL_HERM (deviation 9.8e-13), but the Pauli
+        # expectation of sigma_x sigma_x keeps an imaginary part of 1.96e-12
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = 0.05
+        for index in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            m[index] += 0.49e-12j
+        rows = ["DM4"] + [f"{float(v.real)!r} {float(v.imag)!r}" for v in m.ravel()]
+        path = write(tmp_path, "residue.dm4", "\n".join(rows) + "\n")
+        assert main(["compute", path, *route]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: Pauli expectation has imaginary residue 1.960e-12 > 1e-12\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file.x"]) == EXIT_USAGE
 
@@ -215,18 +233,23 @@ class TestCompute:
         assert "ggqd = 0.5" in done.stdout
 
 
-_BAD_TOKENS = ("nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "0x10", "1,5", "--1", "j")
+_BAD_TOKENS = ("nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "1e308", "-1.7e308",
+               "0x10", "1,5", "--1", "j")
 
 
 @st.composite
 def _state_file_bytes(draw):
     """DM4 or X text from a valid state, its trace moved near the tolerance,
     then damaged: bad tokens, lines or tokens dropped and repeated, blank
-    lines, and bytes that are not UTF-8."""
+    lines, and bytes that are not UTF-8.  A DM4 state may also gain an
+    antihermitian part inside TOL_HERM whose Pauli residue can pass TOL_IMAG."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     scale = 1.0 + draw(st.sampled_from((0.0, 4e-13, 1e-12, 1.5e-12, -3e-12, 1e-9)))
     if draw(st.booleans()):
-        entries = random_density(rng).matrix.ravel() * scale
+        # i eps on the antidiagonal: Hermiticity deviation 2 eps, and the
+        # sigma_x sigma_x expectation gains an imaginary part 4 eps
+        eps = draw(st.sampled_from((0.0, 0.2e-12, 0.49e-12)))
+        entries = (random_density(rng).matrix + 1j * eps * np.fliplr(np.eye(4))).ravel() * scale
         lines = [["DM4"]] + [[repr(float(v.real)), repr(float(v.imag))] for v in entries]
     else:
         p = random_x_params(rng)
@@ -666,6 +689,45 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "check f, trial 0: |brute force - optimizer| = " in out
         assert "check f, trial 1: |brute force - optimizer| = " in out
+
+    # each check made to fail on every trial by moving one evaluator: the
+    # failure-line prefix, the line's tail and the summary line before it,
+    # whose aggregate is the largest or smallest failed value
+    @pytest.mark.parametrize("name, by, failure, tail, summary, aggregate", [
+        ("gd_bruteforce", 0.5, "check a, trial {i}: deviation ", " on d=(",
+         "check a (closed form vs brute force, 2 X states): worst deviation ", max),
+        ("ggqd_x", -0.5, "check b, trial {i}: ggqd - gd = ", " on d=(",
+         "check b (two-sided >= one-sided, 2 X states): smallest margin ", min),
+        ("gap_x", 1e-6, "check d, trial {i}: gap formula off by ", " on d=(",
+         "check d (case gap formula vs subtraction): worst deviation ", max),
+        ("gd_dakic", 0.5, "check e, trial {i}: ggqd - gd = ", " (general state)",
+         "check e (two-sided >= one-sided, 2 general states): held on 0/2, "
+         "smallest margin ", min),
+    ], ids=["a", "b", "d", "e"])
+    def test_each_check_reports_its_failures(self, capsys, monkeypatch, name, by,
+                                             failure, tail, summary, aggregate):
+        original = getattr(cli, name)
+
+        def shifted(*args):
+            res = original(*args)
+            if isinstance(res, float):
+                return res + by
+            return dataclasses.replace(res, value=res.value + by)
+
+        monkeypatch.setattr(cli, name, shifted)
+        code = main(["verify", "--trials", "2", "--seed", "42"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_VERIFY_FAILED
+        assert lines[-1] == "FAILED"
+        values = []
+        for i in range(2):
+            prefix = failure.format(i=i)
+            [line] = [line for line in lines if line.startswith(prefix)]
+            value, rest = line[len(prefix):].split(" ", 1)
+            assert (" " + rest).startswith(tail)
+            values.append(float(value))
+        [line] = [line for line in lines if line.startswith(summary)]
+        assert line == summary + repr(aggregate(values))
 
     def test_bad_trials_flag(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE

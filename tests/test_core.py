@@ -1,5 +1,7 @@
 """Validation, Bloch decomposition, and measurement primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from geodiscord import (
     AXIS_X,
     AXIS_Z,
+    DensityValidationError,
     ImaginaryResidue,
     MeasurementAxis,
     NonFinite,
@@ -66,6 +69,25 @@ class TestValidateDensity:
         m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(NotPSD):
             validate_density(m)
+
+    @pytest.mark.parametrize("entries, first", [
+        ({(0, 0): 1e308}, "trace_not_one"),
+        ({(0, 0): -1.7e308}, "trace_not_one"),
+        ({(0, 0): 1e308, (1, 1): 1e308}, "trace_not_one"),
+        ({(0, 1): 1e308, (1, 0): 1e308}, "not_psd"),
+        ({(0, 0): 1e308j}, "not_hermitian"),
+    ])
+    def test_entries_near_float_limit(self, entries, first):
+        # sums and differences of such entries overflow; the verdict must
+        # still name a violated invariant, with no warning on the way
+        m = np.eye(4, dtype=complex) / 4
+        for index, value in entries.items():
+            m[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityValidationError) as exc_info:
+                validate_density(m)
+        assert exc_info.value.violations[0][0] == first
 
     def test_multiple_violations_all_reported(self):
         m = np.diag([0.7, 0.6, -0.1, -0.1]).astype(complex)

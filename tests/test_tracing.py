@@ -1,8 +1,10 @@
-"""The benchmark's per-layer table names functions the package still has.
+"""The benchmark's tables name what the package still has.
 
 ``perfbench/tracing.py`` wraps each name in ``LAYERS`` when a traced run
-installs it; a name no module binds any more fails only there.  This checks
-the table without installing anything.
+installs it; a name no module binds any more fails only there.  The
+``verify`` workload counts the failure lines of the checks in
+``workloads._COUNTED_CHECKS``; a prefix no check prints any more would gate
+nothing.  This checks both tables without running the benchmark.
 """
 
 import importlib
@@ -11,18 +13,23 @@ from pathlib import Path
 
 import pytest
 
+from geodiscord import cli
 from geodiscord.oracle import REFERENCE_GRID
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _perfbench_module(name):
     sys.path.insert(0, PERFBENCH)
     try:
-        yield importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _perfbench_module("tracing")
 
 
 def _resolve(name, namespaces):
@@ -48,3 +55,11 @@ def test_oracle_axis_count_reads_the_oracle(tracing):
     # oracle_pairs_per_call reads the oracle's grid and window size; a
     # one-sided call scores the 4 097 base axes and six 11 x 11 windows
     assert tracing.oracle_pairs_per_call(REFERENCE_GRID)["gd_bruteforce"] == 4097 + 6 * 121
+
+
+def test_counted_checks_are_verify_checks():
+    # each counted prefix must be the failure-line prefix of a check in
+    # verify's table, so renaming a check fails here, not silently there
+    counted = _perfbench_module("workloads")._COUNTED_CHECKS
+    prefixes = {check.failure_prefix for check in cli.VERIFY_CHECKS}
+    assert counted and set(counted) <= prefixes
