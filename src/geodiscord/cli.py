@@ -32,6 +32,7 @@ from .core import (
     DensityValidationError,
     ImaginaryResidue,
     MeasurementAxis,
+    bloch_decompose,
     validate_density,
 )
 from .measures import (
@@ -193,6 +194,9 @@ def _compute_one(measure: str, method: str, state: DensityMatrix4,
         )
     if method == "numeric":
         return gd_dakic(state) if measure == "gd" else ggqd_general(state)
+    # the oracles read rho's entries, not its Bloch form, so they would take
+    # a state whose Pauli expectations keep an imaginary residue
+    bloch_decompose(state)
     return (gd_bruteforce if measure == "gd" else ggqd_bruteforce)(state, REFERENCE_GRID)
 
 

@@ -8,15 +8,16 @@ They share no algebra with the closed forms or the two-sided ascent in
 rho's entries, so these searches serve as an independent check of
 everything else.
 
-Axes are unit Bloch vectors throughout.  A side-A axis n enters as one
-real table of its projectors |u_k><u_k| = (I +/- n.sigma)/2 (``_weights``),
-and one matrix product of that table with a fixed rearrangement of rho's
-entries (``_row_map``) gives the conditional blocks sigma_k = <u_k| rho
-|u_k> as their traces t_k and the Bloch vectors r_k of their traceless
-parts: sigma_k - (t_k/2) I = [[al_k, be_k], [be_k*, -al_k]] has r_k =
-(Re be_k, -Im be_k, al_k).  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2
-Gram matrix of R = [r_+ r_-], both scores come from the same rows
-(``_side_a_rows``):
+Axes are unit Bloch vectors throughout.  A side-A axis n measures with the
+projectors |u_k><u_k| = (I +/- n.sigma)/2, which are affine in (1, +/-n),
+so the conditional blocks sigma_k = <u_k| rho |u_k> are too.  One real
+4x4 map B per state (``_row_map``) takes (1, +/-n) to a block's trace t_k
+and the Bloch vector r_k of its traceless part: sigma_k - (t_k/2) I =
+[[al_k, be_k], [be_k*, -al_k]] has r_k = (Re be_k, -Im be_k, al_k).  Every
+scan takes B's last three columns times the axes, one (4, 3) x (3, N)
+product, and adds it to or subtracts it from B's first column for the two
+outcomes.  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2 Gram matrix of
+R = [r_+ r_-], both scores come from the same rows (``_side_a_rows``):
 
 - one-sided (``_one_sided``), the dephased purity tr(Pi_a(rho)^2) =
   sum_k tr(sigma_k^2) = c + 2 tr G, which needs only G's diagonal;
@@ -36,13 +37,15 @@ at one fixed side-A axis is the second step of the greedy
 
 Every search is one refinement driver (``_refine``) over side-A axes: a
 base-grid scan, then rounds of shrinking windows around the best axis.
-The base grid's unit vectors and weight table depend on the grid alone, so
-they are built once per ``GridSpec`` (``_grid_tables``).  A refinement
-window is a square of _LOCAL_POINTS x _LOCAL_POINTS points in the tangent
-plane at the center, normalised back onto the sphere (``_window``), so it
+A refinement window is a square of _LOCAL_POINTS x _LOCAL_POINTS points
+in the tangent plane at the center, normalised back onto the sphere, so it
 covers the same patch of sphere at a pole as at the equator; a (theta,
 phi) box would shrink there to a thin bowtie and could miss an optimum a
-few hundredths of a radian off the pole.
+few hundredths of a radian off the pole.  The base grid's unit vectors and
+every round's window coordinates, in the frame (center, e_theta, e_phi),
+depend on the grid alone, so they are built once per ``GridSpec``
+(``_grid_tables``).  A round composes B with its center's frame
+(``_frame``), so it scores its window with one product as well.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -131,16 +134,17 @@ def _scan_angles(grid: GridSpec):
     return np.asarray(thetas), np.asarray(phis)
 
 
-def _window(center, half):
-    """Unit vectors of a window around a unit-vector center, center point
-    included, (_LOCAL_POINTS^2, 3): a square of half-width half in the
-    tangent plane at center, along e_theta and e_phi, normalised back onto
-    the sphere.  At a pole, where phi is undefined, phi is taken as 0."""
+def _frame(center):
+    """(4, 4) map from a window point's coordinates (1, u) to (1, n): 1 on
+    the first entry, then the columns center, e_theta and e_phi, the unit
+    vector and its tangent directions.  At a pole, where phi is undefined,
+    phi is taken as 0."""
     x, y, z = center.tolist()
     st = math.hypot(x, y)
     cp, sp = (x / st, y / st) if st > 0.0 else (1.0, 0.0)
-    v = center + (half * _OFFSETS) @ np.array([[z * cp, z * sp, -st], [-sp, cp, 0.0]])
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, x, z * cp, -sp], [0.0, y, z * sp, cp], [0.0, z, -st, 0.0]]
+    )
 
 
 # I, sigma_x, sigma_y, sigma_z; _PAULI_WEIGHTS[2q + part, a] is the real
@@ -149,73 +153,62 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _PAULI_WEIGHTS = 0.5 * _PAULI.transpose(0, 2, 1).reshape(4, 4).view(float).T
 
 
-def _weights(n):
-    """Real weight table of the projectors (I +/- n.sigma)/2 of the axes
-    along the rows of n, (8, 2 N) laid out (component, outcome, axis).
-
-    <u_k| X |u_k> = sum_ij P_k,ji X_ij, so the weight of entry q = (i, j) of
-    X is P_k,ji; rows 2q and 2q + 1 are its real and imaginary parts, so one
-    real matrix product gives a real-linear function of every conditional
-    block.  The table is affine in n, _PAULI_WEIGHTS times (1, +/-n): the
-    diagonal weights are 0.5 +/- 0.5 n_z, each rounded once, and such a
-    pair always sums to exactly 1, so every axis of I/4 has t_k = 1/2 and
-    scores exactly 1/4.
-    """
-    x = np.empty((4, 2, len(n)))
-    x[0] = 1.0
-    x[1:, 0] = n.T
-    x[1:, 1] = -n.T
-    return _PAULI_WEIGHTS @ x.reshape(4, -1)
-
-
 def _row_map(rho4):
-    """(4, 8) real map taking _weights of side-A axes to t_k and r_k.
+    """(4, 4) real affine map B taking (1, n) of a side-A axis n to the
+    rows (t_+, r_+) of its outcome +, and (1, -n) to those of outcome -.
 
-    sigma_k(a)_mn = sum_q w_q c_q,mn with c = rho's (i j, m n)
+    <u_k| X |u_k> = sum_ij P_k,ji X_ij, so the weight of entry q = (i, j)
+    of X is P_k,ji, whose real and imaginary parts are _PAULI_WEIGHTS times
+    (1, +/-n).  sigma_k(a)_mn = sum_q w_q c_q,mn with c = rho's (i j, m n)
     rearrangement, and each of t_k and the entries of r_k is Re sum_q w_q
     z_q for a combination z of c's columns: t from c_00 + c_11, the
     Hermitian part's off-diagonal from (c_01 + c_10)/2 and i (c_01 -
-    c_10)/2, al from (c_00 - c_11)/2.  A combination that vanishes, as
-    every one but t does for I/4, gives exact zeros.
+    c_10)/2, al from (c_00 - c_11)/2.  So B is the real form of the z
+    times _PAULI_WEIGHTS.  B keeps only each block's Hermitian part, and a
+    combination that vanishes, as every one but t does for I/4, gives an
+    exact zero row; I/4's t row is exactly (1/2, 0, 0, 0).
     """
     c = rho4.transpose(0, 2, 1, 3).reshape(4, 4)
     z = np.array([c[:, 0] + c[:, 3], c[:, 1] + c[:, 2], 1j * (c[:, 1] - c[:, 2]), c[:, 0] - c[:, 3]])
     z[1:] *= 0.5
-    return z.conj().view(float)  # Re(w z) = Re w Re z - Im w Im z
+    return z.conj().view(float) @ _PAULI_WEIGHTS  # Re(w z) = Re w Re z - Im w Im z
 
 
 def _lmax(g00, g11, g01):
     """Top eigenvalue of the symmetric 2x2 [[g00, g01], [g01, g11]] from its
-    own entries, (g00 + g11)/2 + hypot((g00 - g11)/2, g01), which does not
-    cancel for a Gram matrix."""
-    return 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
+    own entries, (g00 + g11)/2 + sqrt(d^2 + g01^2) with d = (g00 - g11)/2,
+    which does not cancel for a Gram matrix.  Gram entries are at most
+    1/4, so the squares cannot overflow; one underflows only below 1e-154,
+    and every score adds lmax to c >= 1/4."""
+    d = 0.5 * (g00 - g11)
+    return 0.5 * (g00 + g11) + np.sqrt(d * d + g01 * g01)
 
 
-def _side_a_rows(m, w):
-    """The vectors r_k of each side-A axis, (3, 2, Na) real, with c = sum_k
-    t_k^2 / 2 and the Gram diagonal (G_00, G_11), (Na,) and (2, Na), from m
-    = _row_map(rho4) and w = _weights of the a-axes; G_kl = r_k . r_l.
-
-    The contraction leaves sigma_k Hermitian only up to rounding; m keeps
-    only the Hermitian part, so blocks that are multiples of I (every axis
-    of I/4) give r_k = 0 exactly.
-    """
-    tr = (m @ w).reshape(4, 2, -1)  # (t, r_0, r_1, r_2), k, a
+def _side_a_rows(b, x):
+    """The vectors r_k of the side-A axes along the columns of x, (3, 2,
+    Na) real, with c = sum_k t_k^2 / 2 and the Gram diagonal (G_00, G_11),
+    (Na,) and (2, Na); b = B, or B composed with a window's _frame when x
+    holds window coordinates; G_kl = r_k . r_l.  B's first column plus and
+    minus one (4, 3) x (3, Na) product give each outcome's (t_k, r_k)."""
+    p = b[:, 1:] @ x
+    tr = np.empty((4, 2, p.shape[1]))  # (t, r_0, r_1, r_2), k, a
+    np.add(b[:, :1], p, out=tr[:, 0])
+    np.subtract(b[:, :1], p, out=tr[:, 1])
     t, r = tr[0], tr[1:]
     g = np.einsum("ika,ika->ka", r, r)  # g00 and g11
     return r, 0.5 * (t[0] * t[0] + t[1] * t[1]), g
 
 
-def _one_sided(m, w):
+def _one_sided(b, x):
     """Each side-A axis's dephased purity c + 2 tr G, (Na,) real."""
-    _, c, g = _side_a_rows(m, w)
+    _, c, g = _side_a_rows(b, x)
     return c + 2.0 * (g[0] + g[1])
 
 
-def _two_sided(m, w):
+def _two_sided(b, x):
     """The r_k of each side-A axis and its best purity over the whole
     b-sphere, c + 2 lmax(G), (Na,) real."""
-    r, c, g = _side_a_rows(m, w)
+    r, c, g = _side_a_rows(b, x)
     g01 = np.einsum("ia,ia->a", r[:, 0], r[:, 1])
     return r, c + 2.0 * _lmax(g[0], g[1], g01)
 
@@ -243,50 +236,65 @@ def _best_b(r):
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec):
-    """The base grid's axes as unit vectors, (N, 3), and their _weights
-    table.  They depend on the grid alone, so each GridSpec builds them once
-    (4 097 axes, 0.6 MB, at the reference grid); the arrays are read-only."""
+    """The base grid's axes as unit vectors along the columns of a (3, N)
+    array, and every refinement round's window coordinates, (refine_iters,
+    3, _LOCAL_POINTS^2), the points along the columns.
+
+    Round j's window has half-width h = h_0 refine_shrink^j, with h_0 the
+    larger of the base grid's polar and azimuth steps, so the first window
+    covers the neighboring base cells.  Its point at offset o (_OFFSETS) is
+    the tangent-plane point center + h o, normalised back onto the sphere,
+    so its coordinates in the frame (center, e_theta, e_phi) are (1, h o) /
+    sqrt(1 + h^2 |o|^2), the center's exactly (1, 0, 0).  All of this
+    depends on the grid alone, so each GridSpec builds it once: 98 KB of
+    axes (4 097) and 2.9 KB per round at the reference grid.  The arrays
+    are read-only.
+    """
     th, ph = _scan_angles(grid)
     st = np.sin(th)
-    n = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
-    tables = (n, _weights(n))
-    for t in tables:
+    axes = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
+    windows = np.empty((grid.refine_iters, 3, _LOCAL_POINTS**2))
+    half = max(np.pi / grid.n_theta, 2.0 * np.pi / grid.n_phi)
+    for u in windows:
+        u[0] = 1.0
+        u[1:] = half * _OFFSETS.T
+        u /= np.linalg.norm(u, axis=0)
+        half *= grid.refine_shrink
+    for t in (axes, windows):
         t.flags.writeable = False
-    return tables
+    return axes, windows
 
 
-def _refine(grid: GridSpec, score):
+def _refine(grid: GridSpec, b, score):
     """Grid-plus-refinement maximization over side-A axes.
 
-    score(_weights(n)) gives the value of every axis n.  The base grid is
-    scanned first; each round then re-scans a _window around the current
-    center, a unit vector, moves the center only on a strict gain, and
-    shrinks the window by refine_shrink.  The first window's half-width,
-    the larger of the base grid's polar and azimuth steps, covers the
-    neighboring base cells.  Returns (best value, unit-vector center,
+    score(b, x) gives the value of every axis along the columns of x, b =
+    B for the base grid's unit vectors.  Each round then re-scans a window
+    around the current center, a unit vector: its coordinates come from
+    _grid_tables, and b is B composed with the center's _frame.  The
+    center moves only on a strict gain, and the windows shrink by
+    refine_shrink per round.  Returns (best value, unit-vector center,
     history), history the running best, base grid first.
     """
-    n, base = _grid_tables(grid)
-    vals = score(base)
+    axes, windows = _grid_tables(grid)
+    vals = score(b, axes)
     i = int(np.argmax(vals))
-    val, center = float(vals[i]), n[i]
+    val, center = float(vals[i]), axes[:, i]
     history = [val]
-    half = max(np.pi / grid.n_theta, 2.0 * np.pi / grid.n_phi)
-    for _ in range(grid.refine_iters):
-        pts = _window(center, half)
-        vals = score(_weights(pts))
+    for u in windows:
+        f = _frame(center)
+        vals = score(b @ f, u)
         i = int(np.argmax(vals))
         if vals[i] > val:
-            val, center = float(vals[i]), pts[i]
+            val, center = float(vals[i]), f[1:, 1:] @ u[:, i]
         history.append(val)
-        half *= grid.refine_shrink
     return val, center, history
 
 
-def _pair_at(m, a):
+def _pair_at(b, a):
     """Best purity over the b-sphere at the side-A unit vector a, and (a,
-    b*) as MeasurementAxis; m = _row_map(rho4)."""
-    r, val = _two_sided(m, _weights(a[None]))
+    b*) as MeasurementAxis; b = _row_map(rho4)."""
+    r, val = _two_sided(b, a[:, None])
     return float(val[0]), (MeasurementAxis(a), MeasurementAxis(_best_b(r[:, :, 0])))
 
 
@@ -310,9 +318,9 @@ def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> M
     history holds the running best dephased purity, base grid first, one
     entry per refinement round after that.
     """
-    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, lambda w: _two_sided(m, w)[1])
-    return _result(state, Method.BRUTE_FORCE, val, _pair_at(m, a)[1], history)
+    b = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    val, a, history = _refine(grid, b, lambda m, x: _two_sided(m, x)[1])
+    return _result(state, Method.BRUTE_FORCE, val, _pair_at(b, a)[1], history)
 
 
 def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> MeasureResult:
@@ -321,8 +329,8 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
     Same grid and refinement as :func:`ggqd_bruteforce`, scoring each axis
     by its own dephased purity.
     """
-    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, lambda w: _one_sided(m, w))
+    b = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    val, a, history = _refine(grid, b, _one_sided)
     return _result(state, Method.BRUTE_FORCE, val, (MeasurementAxis(a), None), history)
 
 
@@ -348,7 +356,7 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
     history holds step 1's running best one-sided dephased purity, the
     history of :func:`gd_bruteforce`; step 2 is not a grid search.
     """
-    m = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    _, a, history = _refine(grid, lambda w: _one_sided(m, w))
-    val, axes = _pair_at(m, a)
+    b = _row_map(state.matrix.reshape(2, 2, 2, 2))
+    _, a, history = _refine(grid, b, _one_sided)
+    val, axes = _pair_at(b, a)
     return _result(state, Method.TQC_SEQUENTIAL, val, axes, history)

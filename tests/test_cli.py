@@ -192,7 +192,9 @@ class TestCompute:
         assert captured.err.startswith("error: best starts disagree")
 
     @pytest.mark.parametrize("route", [["--method", "numeric"],
-                                       ["--method", "analytic", "--measure", "gd"]])
+                                       ["--method", "analytic", "--measure", "gd"],
+                                       ["--method", "brute", "--measure", "gd"],
+                                       ["--method", "brute", "--measure", "ggqd"]])
     def test_imaginary_residue_exit(self, tmp_path, capsys, route):
         # Hermitian within TOL_HERM (deviation 9.8e-13), but the Pauli
         # expectation of sigma_x sigma_x keeps an imaginary part of 1.96e-12

@@ -33,20 +33,20 @@ from geodiscord import oracle
 from geodiscord.oracle import (
     REFERENCE_GRID,
     _best_b,
+    _frame,
     _grid_tables,
     _row_map,
     _one_sided,
     _scan_angles,
+    _side_a_rows,
     _two_sided,
-    _weights,
-    _window,
 )
 
-def _rows_and_scores(m, w):
+def _rows_and_scores(b, x):
     """Each side-A axis's r_k, one-sided score and two-sided score, from the
-    oracle's two scorers."""
-    r, two_sided = _two_sided(m, w)
-    return r, _one_sided(m, w), two_sided
+    oracle's two scorers; b = _row_map(rho4), the axes along x's columns."""
+    r, two_sided = _two_sided(b, x)
+    return r, _one_sided(b, x), two_sided
 
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -88,16 +88,31 @@ def _conditional_a(rho4, proj):
     return (proj.reshape(-1, 4) @ rho).reshape(proj.shape)
 
 
-def _ket_weights(theta, phi):
-    """_projectors in the layout of oracle._weights, (8, 2 N): rows 2q and
-    2q + 1 the real and imaginary parts of the weight of entry q = (i, j)."""
-    proj = _projectors(theta, phi).reshape(-1, 2, 4).view(float)
-    return np.ascontiguousarray(proj.transpose(2, 1, 0)).reshape(8, -1)
+def _block_rows(sig):
+    """(t_k, r_k) of conditional blocks sig, (N, k, m, n), as (4, 2, N):
+    t_k their traces, r_k the Bloch vectors of their Hermitian parts'
+    traceless parts, be_k from the blocks' transposed entries."""
+    sig = sig.transpose(2, 3, 1, 0)  # (m, n, k, a)
+    d0, d1 = sig[0, 0].real, sig[1, 1].real
+    be = 0.5 * (sig[0, 1] + sig[1, 0].conj())
+    return np.stack([d0 + d1, be.real, -be.imag, 0.5 * (d0 - d1)])
+
+
+def _affine_rows(b, x):
+    """The rows b (1, +/-x) of both outcomes, (4, 2, N), by their definition
+    as one 4x4 product each; x (3, N)."""
+    return np.stack([b @ np.vstack([np.ones(x.shape[1]), s * x]) for s in (1.0, -1.0)], axis=1)
+
+
+def _window_points(center, u):
+    """Unit vectors of a window around center, (N, 3), from its
+    coordinates u, (3, N), in the frame (center, e_theta, e_phi)."""
+    return (_frame(center)[1:, 1:] @ u).T
 
 
 COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
 COARSE_PROJ = _projectors(COARSE_TH, COARSE_PH)
-COARSE_W = _weights(_unit(COARSE_TH, COARSE_PH))
+COARSE_AXES = _unit(COARSE_TH, COARSE_PH).T
 
 
 def _werner(weight):
@@ -161,11 +176,8 @@ def _elementwise_scores(rho4, proj):
     entries, be_k taken from the Hermitian part."""
     sig = _conditional_a(rho4, proj)
     one = (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
-    sig = sig.transpose(2, 3, 1, 0)  # (m, n, k, a)
-    d0, d1 = sig[0, 0].real, sig[1, 1].real
-    t = d0 + d1
-    be = 0.5 * (sig[0, 1] + sig[1, 0].conj())
-    r = np.stack([be.real, -be.imag, 0.5 * (d0 - d1)])  # (i, k, a)
+    rows = _block_rows(sig)
+    t, r = rows[0], rows[1:]  # r: (i, k, a)
     g = (r * r).sum(axis=0)
     g01 = (r[:, 0] * r[:, 1]).sum(axis=0)
     lmax = 0.5 * (g[0] + g[1]) + np.hypot(0.5 * (g[0] - g[1]), g01)
@@ -299,9 +311,9 @@ class TestGridSpec:
     def test_windows_are_tangent_squares(self, theta):
         # a window covers the same patch of sphere wherever its center lies:
         # at a pole too, where a (theta, phi) box would be a thin bowtie
-        phi, half = 4.33, np.pi / 64
+        phi, half = 4.33, np.pi / 64  # the reference grid's first half-width
         n = MeasurementAxis.from_angles(theta, phi).n
-        pts = _window(n, half)
+        pts = _window_points(n, _grid_tables(REFERENCE_GRID)[1][0])
         dist = np.arccos(np.clip(pts @ n, -1.0, 1.0))
         assert pts.shape == (oracle._LOCAL_POINTS**2, 3)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 4e-16
@@ -322,6 +334,28 @@ class TestGridSpec:
         e_phi = [-np.sin(phi), np.cos(phi), 0.0]
         unit = tangent / np.linalg.norm(tangent, axis=1, keepdims=True)
         assert np.allclose(unit[[1, 3]], [e_theta, e_phi], atol=1e-12)
+        assert np.array_equal(pts[side * side // 2], n)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [REFERENCE_GRID, COARSE, GridSpec(n_theta=8, n_phi=128, refine_iters=4, refine_shrink=0.5)],
+    )
+    def test_window_table_follows_the_schedule(self, grid):
+        # every round's coordinates are unit vectors with the center,
+        # exactly (1, 0, 0), in the middle; the edge midpoint along +e_theta
+        # is (1, h, 0) / sqrt(1 + h^2), and h starts at the larger of the
+        # base grid's polar and azimuth steps and shrinks by refine_shrink
+        windows = _grid_tables(grid)[1]
+        side, mid = oracle._LOCAL_POINTS, oracle._LOCAL_POINTS // 2
+        assert windows.shape == (grid.refine_iters, 3, side * side)
+        half = max(np.pi / grid.n_theta, 2.0 * np.pi / grid.n_phi)
+        for u in windows:
+            assert np.abs(np.linalg.norm(u, axis=0) - 1.0).max() <= 4e-16
+            assert np.array_equal(u[:, side * side // 2], [1.0, 0.0, 0.0])
+            edge = u[:, (side - 1) * side + mid]
+            assert edge[2] == 0.0
+            assert edge[1] / edge[0] == pytest.approx(half, rel=1e-14)
+            half *= grid.refine_shrink
 
 
 class TestObjectiveIdentity:
@@ -332,7 +366,7 @@ class TestObjectiveIdentity:
             state = random_density(rng)
             ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
             r, _, bound = _rows_and_scores(
-                _row_map(state.matrix.reshape(2, 2, 2, 2)), _weights(_unit(np.array([ta]), np.array([pa])))
+                _row_map(state.matrix.reshape(2, 2, 2, 2)), _unit(np.array([ta]), np.array([pa])).T
             )
             literal = purity(
                 apply_measurement(
@@ -353,7 +387,7 @@ class TestObjectiveIdentity:
                 rho4 = state.matrix.reshape(2, 2, 2, 2)
                 if side == "b":
                     rho4 = rho4.transpose(1, 0, 3, 2)
-                vals = _one_sided(_row_map(rho4), _weights(_unit(np.array([ta]), np.array([pa]))))
+                vals = _one_sided(_row_map(rho4), _unit(np.array([ta]), np.array([pa])).T)
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
@@ -368,7 +402,7 @@ class TestTwoSidedScan:
         # score exceeds it by 2 lmin(G) >= 0, GD <= GGQD axis by axis
         for state in _fused_family() + _near_mixed_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            r, one, bound = _rows_and_scores(_row_map(rho4), COARSE_W)
+            r, one, bound = _rows_and_scores(_row_map(rho4), COARSE_AXES)
             b = np.array([_best_b(r[:, :, i]) for i in range(COARSE_TH.size)])
             at_best = _outcome_purity(_conditional_a(rho4, COARSE_PROJ), _kets(*_angles(b)))
             assert np.abs(at_best - bound).max() <= 1e-15
@@ -382,7 +416,7 @@ class TestTwoSidedScan:
         # on the grid, so only rounding separates the two
         for state in _bound_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            bound = _rows_and_scores(_row_map(rho4), COARSE_W)[2]
+            bound = _rows_and_scores(_row_map(rho4), COARSE_AXES)[2]
             grid = _literal_pairs(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
             assert np.all(grid.max(axis=1) <= bound + 1e-15)
 
@@ -395,15 +429,15 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=2)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
             rho4 = states[k].matrix.reshape(2, 2, 2, 2)
-            bound = _rows_and_scores(_row_map(rho4), _weights(_unit(th, ph)))[2]
+            bound = _rows_and_scores(_row_map(rho4), _unit(th, ph).T)[2]
             for ta, pa, top in zip(th, ph, bound):
                 assert top - _sampled_row_max(rho4, ta, pa, rng) <= 1e-6
 
-    def test_projector_table_matches_einsum(self):
-        # the weight table built from (I +/- n.sigma)/2 is the one the
-        # half-angle kets give, on random axes, both poles and the equator,
-        # and one matrix product with it gives the conditional blocks of the
-        # three-operand contraction over either side
+    def test_row_map_matches_einsum(self):
+        # the rows B (1, +/-n) are the traces and traceless Bloch vectors of
+        # the conditional blocks of the three-operand contraction over
+        # either side, on random axes, both poles and the equator, and one
+        # matrix product of the ket-built projectors gives those blocks too
         rng = np.random.default_rng(55)
         path = ["einsum_path", (0, 2), (0, 1)]
         for k in range(50):
@@ -411,15 +445,54 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
             th[:3], ph[:3] = (0.0, np.pi, np.pi / 2), (0.0, 0.0, 2.0 * np.pi * k / 50)
-            w = _weights(_unit(th, ph))
-            assert np.abs(w - _ket_weights(th, ph)).max() <= 4e-16
-            proj = (w[0::2] + 1j * w[1::2]).reshape(4, 2, -1).transpose(2, 1, 0).reshape(-1, 2, 2, 2)
+            n = _unit(th, ph)
             u = _kets(th, ph)
             ref_a = np.einsum("aki,imjn,akj->akmn", u.conj(), rho4, u, optimize=path)
             ref_b = np.einsum("bkm,imjn,bkn->bkij", u.conj(), rho4, u, optimize=path)
+            proj = _projectors(th, ph)
             assert np.abs(_conditional_a(rho4, proj) - ref_a).max() <= 4e-16
             swapped = rho4.transpose(1, 0, 3, 2)
             assert np.abs(_conditional_a(swapped, proj) - ref_b).max() <= 4e-16
+            for side, ref in ((rho4, ref_a), (swapped, ref_b)):
+                rows = _affine_rows(_row_map(side), n.T)
+                assert np.abs(rows - _block_rows(ref)).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["ginibre", "x", "bell", "mixed"])
+    def test_row_map_rows_match_literal_blocks(self, kind):
+        # the rows B (1, +/-n), and the r_k the scans take from them, equal
+        # the ket-built conditional blocks' on the coarse grid, on one
+        # refinement window (B composed with its frame) and at both poles;
+        # for I/4, B is exactly [[1/2, 0, 0, 0], 0, 0, 0]: t = 1/2 and r = 0
+        # exactly, and every axis scores exactly 1/4
+        rng = np.random.default_rng(62)
+        state = {
+            "ginibre": random_density(rng),
+            "x": x_state(random_x_params(rng)),  # complex phases
+            "bell": x_state(BELL),
+            "mixed": maximally_mixed(),
+        }[kind]
+        rho4 = state.matrix.reshape(2, 2, 2, 2)
+        b = _row_map(rho4)
+        center = MeasurementAxis.from_angles(0.7, 2.1).n
+        u = _grid_tables(COARSE)[1][0]
+        poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        for m, x, n in (
+            (b, COARSE_AXES, COARSE_AXES.T),
+            (b @ _frame(center), u, _window_points(center, u)),
+            (b, poles, poles.T),
+        ):
+            rows = _affine_rows(m, x)
+            expected = _block_rows(_conditional_a(rho4, _projectors(*_angles(n))))
+            assert np.abs(rows - expected).max() <= 2e-15
+            r, c, _ = _side_a_rows(m, x)
+            assert np.abs(r - expected[1:]).max() <= 2e-15
+            assert np.abs(c - 0.5 * (expected[0] ** 2).sum(axis=0)).max() <= 2e-15
+            if kind == "mixed":
+                assert np.array_equal(b, np.diag([0.5, 0.0, 0.0, 0.0]))
+                assert np.all(rows[0] == 0.5) and np.all(rows[1:] == 0.0)
+                assert np.all(r == 0.0) and np.all(c == 0.25)
+                _, one, bound = _rows_and_scores(m, x)
+                assert np.all(one == 0.25) and np.all(bound == 0.25)
 
     def test_closed_form_rows_match_pauli_traces(self):
         rng = np.random.default_rng(52)
@@ -433,7 +506,7 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            r, _, bound = _rows_and_scores(_row_map(rho4), _weights(_unit(th, ph)))
+            r, _, bound = _rows_and_scores(_row_map(rho4), _unit(th, ph).T)
             ref_r, ref_bound = _pauli_rows(rho4, th, ph)
             assert np.abs(r - ref_r).max() <= 4e-16
             assert np.abs(bound - ref_bound).max() <= 1e-15
@@ -446,14 +519,17 @@ class TestTwoSidedScan:
         rng = np.random.default_rng(61)
         mixed = maximally_mixed()
         states = [random_density(rng), x_state(random_x_params(rng)), x_state(BELL), mixed]
-        tables = [_grid_tables(REFERENCE_GRID)]
-        pts = _window(MeasurementAxis.from_angles(0.7, 2.1).n, np.pi / 64)
-        tables.append((pts, _weights(pts)))
+        axes, windows = _grid_tables(REFERENCE_GRID)
+        center = MeasurementAxis.from_angles(0.7, 2.1).n
         for st in states:
             rho4 = st.matrix.reshape(2, 2, 2, 2)
-            for n, w in tables:
+            m = _row_map(rho4)
+            for n, bm, x in (
+                (axes.T, m, axes),
+                (_window_points(center, windows[0]), m @ _frame(center), windows[0]),
+            ):
                 one, ref_r, ref_bound = _elementwise_scores(rho4, _projectors(*_angles(n)))
-                r, one_sided, bound = _rows_and_scores(_row_map(rho4), w)
+                r, one_sided, bound = _rows_and_scores(bm, x)
                 assert np.abs(one_sided - one).max() <= 2e-15
                 assert np.abs(r - ref_r).max() <= 2e-15
                 assert np.abs(bound - ref_bound).max() <= 2e-15
@@ -486,22 +562,24 @@ class TestTwoSidedScan:
         # the blocks of I/4 are multiples of I, so every r_k is exactly zero,
         # every axis scores c = 1/4, and b* is the z axis by the tie rule
         m = _row_map(maximally_mixed().matrix.reshape(2, 2, 2, 2))
-        for w in (COARSE_W, _grid_tables(REFERENCE_GRID)[1]):
-            r, one, bound = _rows_and_scores(m, w)
+        windows = _grid_tables(REFERENCE_GRID)[1]
+        frame = _frame(MeasurementAxis.from_angles(0.7, 2.1).n)
+        for bm, x in ((m, COARSE_AXES), (m, _grid_tables(REFERENCE_GRID)[0]), (m @ frame, windows[-1])):
+            r, one, bound = _rows_and_scores(bm, x)
             assert np.all(r == 0.0)
             assert np.all(one == 0.25) and np.all(bound == 0.25)
             assert np.array_equal(_best_b(r[:, :, 0]), [0.0, 0.0, 1.0])
 
     def test_grid_tables_are_read_only(self):
-        # the cached unit vectors and weight table are the ones a fresh build
-        # gives and cannot be written to
+        # the cached unit vectors are the ones a fresh build gives, the
+        # window table holds one round per refinement iteration, and
+        # neither can be written to
         tables = _grid_tables(COARSE)
         assert _grid_tables(COARSE) is tables
-        n = _unit(*_scan_angles(COARSE))
-        built_tables = (n, _weights(n))
-        assert len(tables) == len(built_tables) == 2
-        for table, built in zip(tables, built_tables):
-            assert np.array_equal(table, built)
+        axes, windows = tables
+        assert np.array_equal(axes, COARSE_AXES)
+        assert windows.shape == (COARSE.refine_iters, 3, oracle._LOCAL_POINTS**2)
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
