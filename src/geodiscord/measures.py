@@ -665,17 +665,7 @@ _EXTRACT_POINTS = np.array(
 
 def _monomials(v: np.ndarray) -> np.ndarray:
     """(..., 3) -> (..., 6): v1^2, v2^2, v3^2, v1 v2, v1 v3, v2 v3."""
-    return np.stack(
-        [
-            v[..., 0] * v[..., 0],
-            v[..., 1] * v[..., 1],
-            v[..., 2] * v[..., 2],
-            v[..., 0] * v[..., 1],
-            v[..., 0] * v[..., 2],
-            v[..., 1] * v[..., 2],
-        ],
-        axis=-1,
-    )
+    return v[..., [0, 1, 2, 0, 0, 1]] * v[..., [0, 1, 2, 1, 2, 2]]
 
 
 def _quadratic_matrices(g: np.ndarray) -> np.ndarray:
@@ -743,28 +733,34 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
     basis = np.column_stack([np.ones(len(pts)), _monomials(pts)])
     # scaled to the units of the shared ascent's tolerances (see docstring)
     coef = 8.0 * np.linalg.solve(basis, np.linalg.solve(basis, table).T).T
-    c0, ghat = coef[0, 0], coef[1:, 1:]
+    c0, wa, wb = coef[0, 0], coef[:, 1:].T, coef[1:, :]
     qa, qb = _quadratic_matrices(coef[1:, 0]), _quadratic_matrices(coef[0, 1:])
 
-    def a_matrix(b):
-        return qa + _quadratic_matrices(_monomials(b) @ ghat.T)
-
-    def b_matrix(a):
-        return qb + _quadratic_matrices(_monomials(a) @ ghat)
+    def forms(v, w, q):
+        """_monomials(v) @ w for an (n, 3) stack v, split into its column 0
+        and the rest: w = wa = W[:, 1:]^t for v = b gives b^t qb b and the
+        coefficients of G(b), w = wb = W[1:, :] for v = a gives a^t qa a and
+        those of G'(a).  Returns that form and q plus the cross term's
+        matrix.  The product is a broadcast sum over the six monomials, not a
+        matrix product or an einsum, which may take another kernel for one
+        row than for a stack and round differently; so a start's steps and
+        values are the same bits however many other starts share its call."""
+        g = (_monomials(v).T[:, None] * w[:, :, None]).sum(axis=0)
+        return g[0], q + _quadratic_matrices(g[1:].T)
 
     def objective(b):
-        quad_b = np.einsum("...i,ij,...j->...", b, qb, b)
-        return c0 + quad_b + np.linalg.eigvalsh(a_matrix(b))[..., -1]
+        quad_b, mats = forms(b, wa, qa)
+        return c0 + quad_b + np.linalg.eigvalsh(mats)[..., -1]
 
     def objective_a(a):
-        quad_a = np.einsum("...i,ij,...j->...", a, qa, a)
-        return c0 + quad_a + np.linalg.eigvalsh(b_matrix(a))[..., -1]
+        quad_a, mats = forms(a, wb, qb)
+        return c0 + quad_a + np.linalg.eigvalsh(mats)[..., -1]
 
     def a_step(b):
-        return np.linalg.eigh(a_matrix(b))[1][..., -1]
+        return np.linalg.eigh(forms(b, wa, qa)[1])[1][..., -1]
 
     def b_step(a):
-        return np.linalg.eigh(b_matrix(a))[1][..., -1]
+        return np.linalg.eigh(forms(a, wb, qb)[1])[1][..., -1]
 
     a, b, inner = _eigen_ascent(a_step, b_step, objective, objective_a)
     value, clamped = _finalize(trcc - inner / 8.0)

@@ -13,19 +13,22 @@ projectors |u_k><u_k| = (I +/- n.sigma)/2, which are affine in (1, +/-n),
 so the conditional blocks sigma_k = <u_k| rho |u_k> are too.  One real
 4x4 map B per state (``_row_map``) takes (1, +/-n) to a block's trace t_k
 and the Bloch vector r_k of its traceless part: sigma_k - (t_k/2) I =
-[[al_k, be_k], [be_k*, -al_k]] has r_k = (Re be_k, -Im be_k, al_k).  Every
-scan takes B's last three columns times the axes, one (4, 3) x (3, N)
-product, and adds it to or subtracts it from B's first column for the two
-outcomes.  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2 Gram matrix of
-R = [r_+ r_-], both scores come from the same rows (``_side_a_rows``):
+[[al_k, be_k], [be_k*, -al_k]] has r_k = (Re be_k, -Im be_k, al_k).  In
+blocks, B = [[b0, beta^T], [rho0, R]], so t_+/- = b0 +/- beta.n and r_+/- =
+rho0 +/- R n.  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2 Gram matrix
+of [r_+ r_-], both scores are short closed functions of the axis through
+P = B[:, 1:] n = (beta.n, R n), one (4, 3) x (3, N) product per scan.
+With s = |R n|^2, l = rho0 . R n and k = |rho0|^2 (``_terms``), c = b0^2 +
+(beta.n)^2, G_00 + G_11 = 2 (k + s), G_00 - G_11 = 4 l and G_01 = k - s:
 
 - one-sided (``_one_sided``), the dephased purity tr(Pi_a(rho)^2) =
-  sum_k tr(sigma_k^2) = c + 2 tr G, which needs only G's diagonal;
+  sum_k tr(sigma_k^2) = c + 2 tr G = c + 4 (k + s);
 - two-sided (``_two_sided``), the best purity over the whole b-sphere.
   A side-B ket of Bloch vector n has p_k+ - t_k/2 = r_k . n, so the pair's
   purity, 2 sum_k (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = R R^T.
-  Its maximum over unit n is c + 2 lmax(M) = c + 2 lmax(G), reached at n
-  along R g, g the top eigenvector of G (``_best_b``).
+  Its maximum over unit n is c + 2 lmax(M) = c + 2 lmax(G) =
+  c + 2 (k + s) + 2 sqrt(4 l^2 + (k - s)^2), reached at n along R g, g the
+  top eigenvector of G (``_best_b``).
 
 The two differ by 2 lmin(G) >= 0, the paper's GD <= GGQD axis by axis.
 So only side A is enumerated: the b side rests on the identity, which the
@@ -33,7 +36,8 @@ test suite checks against a literal b-grid scan of the same conditional
 blocks.  The suite also checks both scores against a literal
 apply_measurement at the reported axes.  The same identity
 at one fixed side-A axis is the second step of the greedy
-``tqc_sequential``, so that step is exact too.
+``tqc_sequential``, so that step is exact too; it takes r_+/- at that one
+axis as two 3-vectors and its value in scalar arithmetic (``_pair_at``).
 
 Every search is one refinement driver (``_refine``) over side-A axes: a
 base-grid scan, then rounds of shrinking windows around the best axis.
@@ -44,8 +48,9 @@ phi) box would shrink there to a thin bowtie and could miss an optimum a
 few hundredths of a radian off the pole.  The base grid's unit vectors and
 every round's window coordinates, in the frame (center, e_theta, e_phi),
 depend on the grid alone, so they are built once per ``GridSpec``
-(``_grid_tables``).  A round composes B with its center's frame
-(``_frame``), so it scores its window with one product as well.
+(``_grid_tables``).  A round composes B[:, 1:] with its center's rotation
+(``_frame``), so it scores its window with one product as well; b0, rho0
+and k are fixed per state.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -135,16 +140,14 @@ def _scan_angles(grid: GridSpec):
 
 
 def _frame(center):
-    """(4, 4) map from a window point's coordinates (1, u) to (1, n): 1 on
-    the first entry, then the columns center, e_theta and e_phi, the unit
-    vector and its tangent directions.  At a pole, where phi is undefined,
-    phi is taken as 0."""
+    """(3, 3) rotation taking a window point's coordinates u to its unit
+    vector: the columns center, e_theta and e_phi, the unit vector and its
+    tangent directions.  At a pole, where phi is undefined, phi is taken as
+    0."""
     x, y, z = center.tolist()
     st = math.hypot(x, y)
     cp, sp = (x / st, y / st) if st > 0.0 else (1.0, 0.0)
-    return np.array(
-        [[1.0, 0.0, 0.0, 0.0], [0.0, x, z * cp, -sp], [0.0, y, z * sp, cp], [0.0, z, -st, 0.0]]
-    )
+    return np.array([[x, z * cp, -sp], [y, z * sp, cp], [z, -st, 0.0]])
 
 
 # I, sigma_x, sigma_y, sigma_z; _PAULI_WEIGHTS[2q + part, a] is the real
@@ -174,48 +177,39 @@ def _row_map(rho4):
     return z.conj().view(float) @ _PAULI_WEIGHTS  # Re(w z) = Re w Re z - Im w Im z
 
 
-def _lmax(g00, g11, g01):
-    """Top eigenvalue of the symmetric 2x2 [[g00, g01], [g01, g11]] from its
-    own entries, (g00 + g11)/2 + sqrt(d^2 + g01^2) with d = (g00 - g11)/2,
-    which does not cancel for a Gram matrix.  Gram entries are at most
-    1/4, so the squares cannot overflow; one underflows only below 1e-154,
-    and every score adds lmax to c >= 1/4."""
-    d = 0.5 * (g00 - g11)
-    return 0.5 * (g00 + g11) + np.sqrt(d * d + g01 * g01)
+def _terms(b, p):
+    """c = b0^2 + (beta.n)^2, (Na,), and k = |rho0|^2, l = rho0 . R n and
+    s = |R n|^2 of the side-A axes n whose P = B[:, 1:] n are the columns
+    of p, (4, Na); b = B = [[b0, beta^T], [rho0, R]].  G_00 and G_11 are
+    k +/- 2 l + s and G_01 is k - s.  Every block of I/4 is a multiple of
+    I, so its B is diag(1/2, 0, 0, 0), and k, l and s are exactly 0."""
+    rho0, rn = b[1:, 0], p[1:]
+    return b[0, 0] ** 2 + p[0] * p[0], rho0 @ rho0, rho0 @ rn, np.einsum("ia,ia->a", rn, rn)
 
 
-def _side_a_rows(b, x):
-    """The vectors r_k of the side-A axes along the columns of x, (3, 2,
-    Na) real, with c = sum_k t_k^2 / 2 and the Gram diagonal (G_00, G_11),
-    (Na,) and (2, Na); b = B, or B composed with a window's _frame when x
-    holds window coordinates; G_kl = r_k . r_l.  B's first column plus and
-    minus one (4, 3) x (3, Na) product give each outcome's (t_k, r_k)."""
-    p = b[:, 1:] @ x
-    tr = np.empty((4, 2, p.shape[1]))  # (t, r_0, r_1, r_2), k, a
-    np.add(b[:, :1], p, out=tr[:, 0])
-    np.subtract(b[:, :1], p, out=tr[:, 1])
-    t, r = tr[0], tr[1:]
-    g = np.einsum("ika,ika->ka", r, r)  # g00 and g11
-    return r, 0.5 * (t[0] * t[0] + t[1] * t[1]), g
+def _one_sided(b, p):
+    """Each side-A axis's dephased purity c + 2 tr G = c + 4 (k + s), (Na,)
+    real, from its column of p = B[:, 1:] n (``_terms``)."""
+    c, k, _, s = _terms(b, p)
+    return c + 4.0 * (k + s)
 
 
-def _one_sided(b, x):
-    """Each side-A axis's dephased purity c + 2 tr G, (Na,) real."""
-    _, c, g = _side_a_rows(b, x)
-    return c + 2.0 * (g[0] + g[1])
+def _two_sided(b, p):
+    """Each side-A axis's best purity over the whole b-sphere, c + 2
+    lmax(G) = c + 2 (k + s) + 2 sqrt(4 l^2 + (k - s)^2), (Na,) real, from
+    its column of p = B[:, 1:] n.  The root, half of G's eigenvalue gap,
+    is a sum of squares, so nothing cancels in it.  k, l and s are at most
+    1/4 in size, as G's entries are, so the squares cannot overflow; one
+    underflows only below 1e-154, and every score adds the root to c >=
+    1/4."""
+    c, k, l, s = _terms(b, p)
+    d = k - s
+    return c + 2.0 * (k + s) + 2.0 * np.sqrt(4.0 * l * l + d * d)
 
 
-def _two_sided(b, x):
-    """The r_k of each side-A axis and its best purity over the whole
-    b-sphere, c + 2 lmax(G), (Na,) real."""
-    r, c, g = _side_a_rows(b, x)
-    g01 = np.einsum("ia,ia->a", r[:, 0], r[:, 1])
-    return r, c + 2.0 * _lmax(g[0], g[1], g01)
-
-
-def _best_b(r):
-    """Unit Bloch vector of the best side-B axis for one side-A axis, r =
-    (3, 2) its r_+ and r_- as the columns of R: R g / |R g|.
+def _best_b(rp, rm):
+    """Unit Bloch vector of the best side-B axis for one side-A axis, rp
+    and rm its r_+ and r_-, two 3-vectors, the columns of R: R g / |R g|.
 
     g, the top eigenvector of G = R^T R, is (lam - g11, g01) when g00 >=
     g11, else (g01, lam - g00); its component along the larger diagonal
@@ -225,12 +219,13 @@ def _best_b(r):
     = 0 (every axis of I/4), where every b is.  The rule then takes r_+ /
     |r_+|, or the z axis when r_+ = 0.
     """
-    g00, g11 = (r * r).sum(axis=0)
-    g01 = float(r[:, 0] @ r[:, 1])
-    lam = _lmax(g00, g11, g01)
-    w = r @ ((lam - g11, g01) if g00 >= g11 else (g01, lam - g00))
+    g00, g11, g01 = float(rp @ rp), float(rm @ rm), float(rp @ rm)
+    d = 0.5 * (g00 - g11)
+    lam = 0.5 * (g00 + g11) + math.sqrt(d * d + g01 * g01)
+    u, v = (lam - g11, g01) if g00 >= g11 else (g01, lam - g00)
+    w = u * rp + v * rm
     if not w.any():
-        w = r[:, 0] if g00 > 0.0 else np.array([0.0, 0.0, 1.0])
+        w = rp if g00 > 0.0 else np.array([0.0, 0.0, 1.0])
     return w / np.linalg.norm(w)
 
 
@@ -268,34 +263,40 @@ def _grid_tables(grid: GridSpec):
 def _refine(grid: GridSpec, b, score):
     """Grid-plus-refinement maximization over side-A axes.
 
-    score(b, x) gives the value of every axis along the columns of x, b =
-    B for the base grid's unit vectors.  Each round then re-scans a window
-    around the current center, a unit vector: its coordinates come from
-    _grid_tables, and b is B composed with the center's _frame.  The
-    center moves only on a strict gain, and the windows shrink by
-    refine_shrink per round.  Returns (best value, unit-vector center,
-    history), history the running best, base grid first.
+    score(b, p) gives the value of every axis whose P = B[:, 1:] n is a
+    column of p, b = B.  The base scan takes P of the base grid's unit
+    vectors.  Each round then re-scans a window around the current center,
+    a unit vector: its coordinates u come from _grid_tables, and P = B[:,
+    1:] F u, F the center's _frame.  The center moves only on a strict
+    gain, and the windows shrink by refine_shrink per round.  Returns (best
+    value, unit-vector center, history), history the running best, base
+    grid first.
     """
     axes, windows = _grid_tables(grid)
-    vals = score(b, axes)
+    m = b[:, 1:]
+    vals = score(b, m @ axes)
     i = int(np.argmax(vals))
     val, center = float(vals[i]), axes[:, i]
     history = [val]
     for u in windows:
         f = _frame(center)
-        vals = score(b @ f, u)
+        vals = score(b, m @ f @ u)
         i = int(np.argmax(vals))
         if vals[i] > val:
-            val, center = float(vals[i]), f[1:, 1:] @ u[:, i]
+            val, center = float(vals[i]), f @ u[:, i]
         history.append(val)
     return val, center, history
 
 
 def _pair_at(b, a):
     """Best purity over the b-sphere at the side-A unit vector a, and (a,
-    b*) as MeasurementAxis; b = _row_map(rho4)."""
-    r, val = _two_sided(b, a[:, None])
-    return float(val[0]), (MeasurementAxis(a), MeasurementAxis(_best_b(r[:, :, 0])))
+    b*) as MeasurementAxis; b = _row_map(rho4).  r_+/- = rho0 +/- R a are
+    two 3-vectors, and the value is _two_sided's in scalar arithmetic."""
+    p = b[:, 1:] @ a
+    rho0, ra = b[1:, 0], p[1:]
+    t, k, l, s = float(p[0]), float(rho0 @ rho0), float(rho0 @ ra), float(ra @ ra)
+    val = b[0, 0] ** 2 + t * t + 2.0 * (k + s) + 2.0 * math.sqrt(4.0 * l * l + (k - s) ** 2)
+    return float(val), (MeasurementAxis(a), MeasurementAxis(_best_b(rho0 + ra, rho0 - ra)))
 
 
 def _result(state: DensityMatrix4, method: Method, best: float, axes, history):
@@ -319,7 +320,7 @@ def ggqd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> M
     entry per refinement round after that.
     """
     b = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, b, lambda m, x: _two_sided(m, x)[1])
+    val, a, history = _refine(grid, b, _two_sided)
     return _result(state, Method.BRUTE_FORCE, val, _pair_at(b, a)[1], history)
 
 

@@ -293,6 +293,27 @@ class TestGeneralEvaluators:
                 ggqd_general(st).value, abs=1e-8
             )
 
+    def test_matrix_form_rows_do_not_depend_on_batch_size(self, monkeypatch):
+        # a start's steps and objective values are the same bits whether it
+        # is stepped alone or in a stack of 24, so its path cannot depend on
+        # how many other starts are still active
+        class Captured(Exception):
+            pass
+
+        def capture(*steps):
+            raise Captured(steps)
+
+        monkeypatch.setattr(measures, "_eigen_ascent", capture)
+        rng = np.random.default_rng(32)
+        states = [random_density(rng) for _ in range(5)] + [x_state(normalized_x(rng))]
+        for st in states:
+            with pytest.raises(Captured) as caught:
+                ggqd_matrix_form(st)
+            v = rng.normal(size=(24, 3))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            for fn in caught.value.args[0]:  # a_step, b_step, objective, objective_a
+                assert np.array_equal(fn(v)[0], fn(v[:1])[0])
+
     def test_bell_and_mixed(self):
         assert ggqd_general(x_state(BELL)).value == pytest.approx(0.5, abs=1e-9)
         assert ggqd_general(maximally_mixed()).value == pytest.approx(0.0, abs=1e-12)

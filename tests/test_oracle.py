@@ -29,24 +29,34 @@ from geodiscord import (
     validate_density,
     x_state,
 )
-from geodiscord import oracle
+import geodiscord
+from geodiscord import core, measures, oracle
 from geodiscord.oracle import (
     REFERENCE_GRID,
     _best_b,
     _frame,
     _grid_tables,
-    _row_map,
     _one_sided,
+    _pair_at,
+    _row_map,
     _scan_angles,
-    _side_a_rows,
+    _terms,
     _two_sided,
 )
 
-def _rows_and_scores(b, x):
-    """Each side-A axis's r_k, one-sided score and two-sided score, from the
-    oracle's two scorers; b = _row_map(rho4), the axes along x's columns."""
-    r, two_sided = _two_sided(b, x)
-    return r, _one_sided(b, x), two_sided
+
+def _products(b, x, center=None):
+    """P = B[:, 1:] n of side-A axes as _refine forms them, (4, N); b =
+    _row_map(rho4), and x holds unit axes n along its columns or, with
+    center, window coordinates u in that center's frame, n = F u."""
+    return (b[:, 1:] if center is None else b[:, 1:] @ _frame(center)) @ x
+
+
+def _scores(b, x, center=None):
+    """Each side-A axis's one-sided and two-sided score from the oracle's
+    scorers, the axes given as to _products."""
+    p = _products(b, x, center)
+    return _one_sided(b, p), _two_sided(b, p)
 
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -104,10 +114,19 @@ def _affine_rows(b, x):
     return np.stack([b @ np.vstack([np.ones(x.shape[1]), s * x]) for s in (1.0, -1.0)], axis=1)
 
 
+def _composed(b, center):
+    """B composed with a window's frame, (4, 4): (1, u) -> B (1, F u), F
+    the center's rotation, so its rows at window coordinates u are those of
+    B at the window's points."""
+    f = np.eye(4)
+    f[1:, 1:] = _frame(center)
+    return b @ f
+
+
 def _window_points(center, u):
     """Unit vectors of a window around center, (N, 3), from its
     coordinates u, (3, N), in the frame (center, e_theta, e_phi)."""
-    return (_frame(center)[1:, 1:] @ u).T
+    return (_frame(center) @ u).T
 
 
 COARSE_TH, COARSE_PH = _scan_angles(COARSE)  # 257 axes
@@ -159,7 +178,7 @@ def _literal_pairs(rho4, th_a, ph_a, th_b, ph_b):
 
 
 def _pauli_rows(rho4, th, ph):
-    """_rows_and_scores by the literal construction: r_k,i = tr(sigma_k
+    """r_k and two-sided scores by the literal construction: r_k,i = tr(sigma_k
     sigma_i) / 2 from Pauli traces of the conditional blocks, then c =
     sum_k t_k^2 / 2 plus twice the top eigenvalue of M = sum_k r_k r_k^T."""
     sig = _conditional_a(rho4, _projectors(th, ph))
@@ -172,8 +191,8 @@ def _pauli_rows(rho4, th, ph):
 def _elementwise_scores(rho4, proj):
     """The scorers as elementwise expressions of the conditional blocks:
     one-sided dephased purities as squared real and imaginary parts, and
-    _rows_and_scores's r_k and b-sphere maximum from the blocks' transposed
-    entries, be_k taken from the Hermitian part."""
+    each axis's r_k, (3, 2, N), and b-sphere maximum from the blocks'
+    transposed entries, be_k taken from the Hermitian part."""
     sig = _conditional_a(rho4, proj)
     one = (sig.real**2 + sig.imag**2).sum(axis=(1, 2, 3))
     rows = _block_rows(sig)
@@ -365,14 +384,15 @@ class TestObjectiveIdentity:
         for _ in range(20):
             state = random_density(rng)
             ta, pa = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            r, _, bound = _rows_and_scores(
-                _row_map(state.matrix.reshape(2, 2, 2, 2)), _unit(np.array([ta]), np.array([pa])).T
-            )
+            th, ph = np.array([ta]), np.array([pa])
+            rho4 = state.matrix.reshape(2, 2, 2, 2)
+            bound = _scores(_row_map(rho4), _unit(th, ph).T)[1]
+            r = _elementwise_scores(rho4, _projectors(th, ph))[1]
             literal = purity(
                 apply_measurement(
                     state,
                     a=MeasurementAxis.from_angles(ta, pa),
-                    b=MeasurementAxis(_best_b(r[:, :, 0])),
+                    b=MeasurementAxis(_best_b(*r[:, :, 0].T)),
                 )
             )
             assert bound[0] == pytest.approx(literal, abs=1e-12)
@@ -387,7 +407,7 @@ class TestObjectiveIdentity:
                 rho4 = state.matrix.reshape(2, 2, 2, 2)
                 if side == "b":
                     rho4 = rho4.transpose(1, 0, 3, 2)
-                vals = _one_sided(_row_map(rho4), _unit(np.array([ta]), np.array([pa])).T)
+                vals = _scores(_row_map(rho4), _unit(np.array([ta]), np.array([pa])).T)[0]
                 axis = MeasurementAxis.from_angles(ta, pa)
                 kwargs = {"a": axis} if side == "a" else {"b": axis}
                 literal = purity(apply_measurement(state, **kwargs))
@@ -402,8 +422,9 @@ class TestTwoSidedScan:
         # score exceeds it by 2 lmin(G) >= 0, GD <= GGQD axis by axis
         for state in _fused_family() + _near_mixed_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            r, one, bound = _rows_and_scores(_row_map(rho4), COARSE_AXES)
-            b = np.array([_best_b(r[:, :, i]) for i in range(COARSE_TH.size)])
+            one, bound = _scores(_row_map(rho4), COARSE_AXES)
+            r = _elementwise_scores(rho4, COARSE_PROJ)[1]
+            b = np.array([_best_b(*r[:, :, i].T) for i in range(COARSE_TH.size)])
             at_best = _outcome_purity(_conditional_a(rho4, COARSE_PROJ), _kets(*_angles(b)))
             assert np.abs(at_best - bound).max() <= 1e-15
             lmin = np.linalg.eigvalsh(np.einsum("ika,ila->akl", r, r))[:, 0]
@@ -416,7 +437,7 @@ class TestTwoSidedScan:
         # on the grid, so only rounding separates the two
         for state in _bound_family():
             rho4 = state.matrix.reshape(2, 2, 2, 2)
-            bound = _rows_and_scores(_row_map(rho4), COARSE_AXES)[2]
+            bound = _scores(_row_map(rho4), COARSE_AXES)[1]
             grid = _literal_pairs(rho4, COARSE_TH, COARSE_PH, COARSE_TH, COARSE_PH)
             assert np.all(grid.max(axis=1) <= bound + 1e-15)
 
@@ -429,7 +450,7 @@ class TestTwoSidedScan:
             th = rng.uniform(0.0, np.pi, size=2)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
             rho4 = states[k].matrix.reshape(2, 2, 2, 2)
-            bound = _rows_and_scores(_row_map(rho4), _unit(th, ph).T)[2]
+            bound = _scores(_row_map(rho4), _unit(th, ph).T)[1]
             for ta, pa, top in zip(th, ph, bound):
                 assert top - _sampled_row_max(rho4, ta, pa, rng) <= 1e-6
 
@@ -457,41 +478,51 @@ class TestTwoSidedScan:
                 rows = _affine_rows(_row_map(side), n.T)
                 assert np.abs(rows - _block_rows(ref)).max() <= 1e-15
 
-    @pytest.mark.parametrize("kind", ["ginibre", "x", "bell", "mixed"])
+    @pytest.mark.parametrize("kind", ["ginibre", "x", "bell", "werner", "mixed"])
     def test_row_map_rows_match_literal_blocks(self, kind):
-        # the rows B (1, +/-n), and the r_k the scans take from them, equal
-        # the ket-built conditional blocks' on the coarse grid, on one
-        # refinement window (B composed with its frame) and at both poles;
-        # for I/4, B is exactly [[1/2, 0, 0, 0], 0, 0, 0]: t = 1/2 and r = 0
-        # exactly, and every axis scores exactly 1/4
+        # the rows B (1, +/-n) equal the ket-built conditional blocks' on the
+        # coarse grid, on a first-round and a last-round refinement window (B
+        # composed with its frame) and at both poles; so do the closed forms
+        # taken from P = B[:, 1:] n alone: b0^2 + (beta.n)^2 is c = sum_k
+        # t_k^2 / 2, and k +/- 2 l + s and k - s are the Gram entries G_00,
+        # G_11 and G_01 of the blocks' r_k.  For I/4, B is exactly [[1/2, 0,
+        # 0, 0], 0, 0, 0]: t = 1/2, r = 0 and k = l = s = 0 exactly, and
+        # every axis scores exactly 1/4
         rng = np.random.default_rng(62)
         state = {
             "ginibre": random_density(rng),
             "x": x_state(random_x_params(rng)),  # complex phases
             "bell": x_state(BELL),
+            "werner": _werner(1e-9),
             "mixed": maximally_mixed(),
         }[kind]
         rho4 = state.matrix.reshape(2, 2, 2, 2)
         b = _row_map(rho4)
         center = MeasurementAxis.from_angles(0.7, 2.1).n
-        u = _grid_tables(COARSE)[1][0]
+        first, last = _grid_tables(COARSE)[1][[0, -1]]
         poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
-        for m, x, n in (
-            (b, COARSE_AXES, COARSE_AXES.T),
-            (b @ _frame(center), u, _window_points(center, u)),
-            (b, poles, poles.T),
+        for x, n, at in (
+            (COARSE_AXES, COARSE_AXES.T, None),
+            (first, _window_points(center, first), center),
+            (last, _window_points(center, last), center),
+            (poles, poles.T, None),
         ):
-            rows = _affine_rows(m, x)
+            rows = _affine_rows(b if at is None else _composed(b, at), x)
             expected = _block_rows(_conditional_a(rho4, _projectors(*_angles(n))))
             assert np.abs(rows - expected).max() <= 2e-15
-            r, c, _ = _side_a_rows(m, x)
-            assert np.abs(r - expected[1:]).max() <= 2e-15
-            assert np.abs(c - 0.5 * (expected[0] ** 2).sum(axis=0)).max() <= 2e-15
+            c, k, l, s = _terms(b, _products(b, x, at))
+            t, r = expected[0], expected[1:]
+            g00, g11 = (r * r).sum(axis=0)
+            g01 = (r[:, 0] * r[:, 1]).sum(axis=0)
+            assert np.abs(c - 0.5 * (t * t).sum(axis=0)).max() <= 2e-15
+            assert np.abs(k + 2.0 * l + s - g00).max() <= 2e-15
+            assert np.abs(k - 2.0 * l + s - g11).max() <= 2e-15
+            assert np.abs(k - s - g01).max() <= 2e-15
             if kind == "mixed":
                 assert np.array_equal(b, np.diag([0.5, 0.0, 0.0, 0.0]))
                 assert np.all(rows[0] == 0.5) and np.all(rows[1:] == 0.0)
-                assert np.all(r == 0.0) and np.all(c == 0.25)
-                _, one, bound = _rows_and_scores(m, x)
+                assert k == 0.0 and np.all(l == 0.0) and np.all(s == 0.0)
+                one, bound = _scores(b, x, at)
                 assert np.all(one == 0.25) and np.all(bound == 0.25)
 
     def test_closed_form_rows_match_pauli_traces(self):
@@ -506,16 +537,18 @@ class TestTwoSidedScan:
             rho4 = state.matrix.reshape(2, 2, 2, 2)
             th = rng.uniform(0.0, np.pi, size=64)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=64)
-            r, _, bound = _rows_and_scores(_row_map(rho4), _unit(th, ph).T)
+            bound = _scores(_row_map(rho4), _unit(th, ph).T)[1]
+            r = _elementwise_scores(rho4, _projectors(th, ph))[1]
             ref_r, ref_bound = _pauli_rows(rho4, th, ph)
             assert np.abs(r - ref_r).max() <= 4e-16
             assert np.abs(bound - ref_bound).max() <= 1e-15
 
     def test_scorers_match_elementwise_references(self):
-        # the scores from one real matrix product (t_k, r_k, then c + 2 tr G
-        # one-sided and c + 2 lmax(G) two-sided) agree with the elementwise
-        # expressions of the ket-built blocks on the reference base grid and
-        # on one refinement window; I/4 keeps r exactly 0
+        # the scores from one real matrix product (P = B[:, 1:] n, then c + 4
+        # (k + s) one-sided and c + 2 lmax(G) two-sided in closed form), and
+        # the rows r_k of B, agree with the elementwise expressions of the
+        # ket-built blocks on the reference base grid and on one refinement
+        # window; I/4 keeps r exactly 0
         rng = np.random.default_rng(61)
         mixed = maximally_mixed()
         states = [random_density(rng), x_state(random_x_params(rng)), x_state(BELL), mixed]
@@ -524,12 +557,13 @@ class TestTwoSidedScan:
         for st in states:
             rho4 = st.matrix.reshape(2, 2, 2, 2)
             m = _row_map(rho4)
-            for n, bm, x in (
-                (axes.T, m, axes),
-                (_window_points(center, windows[0]), m @ _frame(center), windows[0]),
+            for n, x, at in (
+                (axes.T, axes, None),
+                (_window_points(center, windows[0]), windows[0], center),
             ):
                 one, ref_r, ref_bound = _elementwise_scores(rho4, _projectors(*_angles(n)))
-                r, one_sided, bound = _rows_and_scores(bm, x)
+                r = _affine_rows(m if at is None else _composed(m, at), x)[1:]
+                one_sided, bound = _scores(m, x, at)
                 assert np.abs(one_sided - one).max() <= 2e-15
                 assert np.abs(r - ref_r).max() <= 2e-15
                 assert np.abs(bound - ref_bound).max() <= 2e-15
@@ -537,7 +571,8 @@ class TestTwoSidedScan:
                     assert np.all(r == 0.0)
 
     def test_best_b_is_top_eigenvector(self):
-        # R g / |R g| is the top eigenvector of M = R R^T, up to sign; on an
+        # R g / |R g| is the top eigenvector of M = R R^T, up to sign, R = [r_+
+        # r_-] the two 3-vectors _best_b takes; on an
         # exact tie (G a multiple of I) it is r_+ / |r_+|, and for R = 0 the
         # z axis
         rng = np.random.default_rng(59)
@@ -545,7 +580,7 @@ class TestTwoSidedScan:
             for _ in range(50):
                 r = scale * rng.normal(size=(3, 2))
                 w, v = np.linalg.eigh(r @ r.T)
-                b = _best_b(r)
+                b = _best_b(*r.T)
                 assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-15)
                 if w[2] - w[1] > 1e-6 * w[2]:
                     assert abs(b @ v[:, 2]) == pytest.approx(1.0, abs=1e-12)
@@ -553,22 +588,51 @@ class TestTwoSidedScan:
         # orthogonal r_+ and r_- of unequal length: b* is the longer one,
         # whichever side it is on
         for r in (np.diag([2.0, 1.0, 0.0])[:, :2], np.diag([1.0, 2.0, 0.0])[:, :2]):
-            assert np.array_equal(np.abs(_best_b(r)), r[:, np.argmax(r.max(axis=0))] / 2.0)
+            assert np.array_equal(np.abs(_best_b(*r.T)), r[:, np.argmax(r.max(axis=0))] / 2.0)
         tie = np.array([[1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(_best_b(tie), tie[:, 0] / np.sqrt(2.0))
-        assert np.array_equal(_best_b(np.zeros((3, 2))), [0.0, 0.0, 1.0])
+        assert np.array_equal(_best_b(*tie.T), tie[:, 0] / np.sqrt(2.0))
+        assert np.array_equal(_best_b(np.zeros(3), np.zeros(3)), [0.0, 0.0, 1.0])
+
+    def test_pair_at_matches_the_scan(self):
+        # the one-axis score in scalar arithmetic is the scan's two-sided
+        # score of that axis, and b* is _best_b of B's rows r_+/- at it, on
+        # random axes, both poles and I/4's z axis
+        rng = np.random.default_rng(64)
+        states = [random_density(rng) for _ in range(5)]
+        states += [x_state(random_x_params(rng)) for _ in range(5)]  # complex phases
+        states += [x_state(BELL), _werner(1e-9), maximally_mixed()]
+        for st in states:
+            rho4 = st.matrix.reshape(2, 2, 2, 2)
+            b = _row_map(rho4)
+            th = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, size=4)])
+            ph = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.0 * np.pi, size=4)])
+            n = _unit(th, ph)
+            bound = _scores(b, n.T)[1]
+            r = _affine_rows(b, n.T)[1:]
+            for i, a in enumerate(n):
+                val, (axis_a, axis_b) = _pair_at(b, a)
+                assert abs(val - bound[i]) <= 2.3e-16
+                assert np.array_equal(axis_a.n, a)
+                assert np.abs(axis_b.n - _best_b(*r[:, :, i].T)).max() <= 1e-15
+        assert val == 0.25 and np.array_equal(axis_b.n, [0.0, 0.0, 1.0])
 
     def test_maximally_mixed_rows_are_exact(self):
         # the blocks of I/4 are multiples of I, so every r_k is exactly zero,
         # every axis scores c = 1/4, and b* is the z axis by the tie rule
-        m = _row_map(maximally_mixed().matrix.reshape(2, 2, 2, 2))
-        windows = _grid_tables(REFERENCE_GRID)[1]
-        frame = _frame(MeasurementAxis.from_angles(0.7, 2.1).n)
-        for bm, x in ((m, COARSE_AXES), (m, _grid_tables(REFERENCE_GRID)[0]), (m @ frame, windows[-1])):
-            r, one, bound = _rows_and_scores(bm, x)
+        rho4 = maximally_mixed().matrix.reshape(2, 2, 2, 2)
+        m = _row_map(rho4)
+        axes, windows = _grid_tables(REFERENCE_GRID)
+        center = MeasurementAxis.from_angles(0.7, 2.1).n
+        for x, n, at in (
+            (COARSE_AXES, COARSE_AXES.T, None),
+            (axes, axes.T, None),
+            (windows[-1], _window_points(center, windows[-1]), center),
+        ):
+            r = _elementwise_scores(rho4, _projectors(*_angles(n)))[1]
+            one, bound = _scores(m, x, at)
             assert np.all(r == 0.0)
             assert np.all(one == 0.25) and np.all(bound == 0.25)
-            assert np.array_equal(_best_b(r[:, :, 0]), [0.0, 0.0, 1.0])
+            assert np.array_equal(_best_b(*r[:, :, 0].T), [0.0, 0.0, 1.0])
 
     def test_grid_tables_are_read_only(self):
         # the cached unit vectors are the ones a fresh build gives, the
@@ -763,3 +827,26 @@ class TestIndependence:
             "measures": {"MeasureResult", "Method", "_finalize"},
             "core": {"DensityMatrix4", "MeasurementAxis", "purity"},
         }
+
+    def test_oracles_run_without_bloch_form_or_evaluators(self, monkeypatch):
+        # the same at run time: with bloch_decompose, gd_dakic and
+        # ggqd_general made to raise, all three oracles still run and give
+        # what they gave before
+        rng = np.random.default_rng(65)
+        states = [random_density(rng), x_state(random_x_params(rng))]
+        fns = (gd_bruteforce, ggqd_bruteforce, tqc_sequential)
+        before = [[fn(st, COARSE) for fn in fns] for st in states]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an oracle called the algebra it checks")
+
+        for name in ("bloch_decompose", "gd_dakic", "ggqd_general"):
+            for module in (core, measures, geodiscord):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(AssertionError):
+            measures.gd_dakic(states[0])
+        for st, results in zip(states, before):
+            for fn, expected in zip(fns, results):
+                res = fn(st, COARSE)
+                assert res.value == expected.value and res.history == expected.history
