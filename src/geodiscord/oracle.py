@@ -15,8 +15,8 @@ so the conditional blocks sigma_k = <u_k| rho |u_k> are too.  One real
 and the Bloch vector r_k of its traceless part: sigma_k - (t_k/2) I =
 [[al_k, be_k], [be_k*, -al_k]] has r_k = (Re be_k, -Im be_k, al_k).  In
 blocks, B = [[b0, beta^T], [rho0, R]], so t_+/- = b0 +/- beta.n and r_+/- =
-rho0 +/- R n.  With c = sum_k t_k^2 / 2 and G = R^T R the 2x2 Gram matrix
-of [r_+ r_-], both scores are short closed functions of the axis through
+rho0 +/- R n.  With c = sum_k t_k^2 / 2 and G = V^T V the 2x2 Gram matrix
+of V = [r_+ r_-], both scores are short closed functions of the axis through
 P = B[:, 1:] n = (beta.n, R n), one (4, 3) x (3, N) product per scan.
 With s = |R n|^2, l = rho0 . R n and k = |rho0|^2 (``_terms``), c = b0^2 +
 (beta.n)^2, G_00 + G_11 = 2 (k + s), G_00 - G_11 = 4 l and G_01 = k - s:
@@ -25,9 +25,9 @@ With s = |R n|^2, l = rho0 . R n and k = |rho0|^2 (``_terms``), c = b0^2 +
   sum_k tr(sigma_k^2) = c + 2 tr G = c + 4 (k + s);
 - two-sided (``_two_sided``), the best purity over the whole b-sphere.
   A side-B ket of Bloch vector n has p_k+ - t_k/2 = r_k . n, so the pair's
-  purity, 2 sum_k (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = R R^T.
+  purity, 2 sum_k (p_k+ - t_k/2)^2 + c, is 2 n^T M n + c with M = V V^T.
   Its maximum over unit n is c + 2 lmax(M) = c + 2 lmax(G) =
-  c + 2 (k + s) + 2 sqrt(4 l^2 + (k - s)^2), reached at n along R g, g the
+  c + 2 (k + s) + 2 sqrt(4 l^2 + (k - s)^2), reached at n along V g, g the
   top eigenvector of G (``_best_b``).
 
 The two differ by 2 lmin(G) >= 0, the paper's GD <= GGQD axis by axis.
@@ -209,13 +209,13 @@ def _two_sided(b, p):
 
 def _best_b(rp, rm):
     """Unit Bloch vector of the best side-B axis for one side-A axis, rp
-    and rm its r_+ and r_-, two 3-vectors, the columns of R: R g / |R g|.
+    and rm its r_+ and r_-, two 3-vectors, the columns of V: V g / |V g|.
 
-    g, the top eigenvector of G = R^T R, is (lam - g11, g01) when g00 >=
+    g, the top eigenvector of G = V^T V, is (lam - g11, g01) when g00 >=
     g11, else (g01, lam - g00); its component along the larger diagonal
-    entry is a sum of nonnegative terms, so nothing cancels.  R g vanishes
+    entry is a sum of nonnegative terms, so nothing cancels.  V g vanishes
     only on an exact tie, G a multiple of I: |r_+| = |r_-| with r_+
-    orthogonal to r_-, where every unit vector of their span is best, or R
+    orthogonal to r_-, where every unit vector of their span is best, or V
     = 0 (every axis of I/4), where every b is.  The rule then takes r_+ /
     |r_+|, or the z axis when r_+ = 0.
     """
