@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     DensityMatrix4,
     DensityValidationError,
-    ImaginaryResidue,
     MeasurementAxis,
     bloch_decompose,
     validate_density,
@@ -194,9 +193,6 @@ def _compute_one(measure: str, method: str, state: DensityMatrix4,
         )
     if method == "numeric":
         return gd_dakic(state) if measure == "gd" else ggqd_general(state)
-    # the oracles read rho's entries, not its Bloch form, so they would take
-    # a state whose Pauli expectations keep an imaginary residue
-    bloch_decompose(state)
     return (gd_bruteforce if measure == "gd" else ggqd_bruteforce)(state, REFERENCE_GRID)
 
 
@@ -230,6 +226,10 @@ def cmd_compute(args) -> int:
                 params = as_x_params(state)
             except ValueError:
                 params = None
+        # one residue rule for every method: the X forms read only rho's
+        # corners and the oracles its entries, so neither takes the Bloch
+        # form that would raise ImaginaryResidue
+        bloch_decompose(state)
     except (DensityValidationError, ValueError) as exc:
         print(f"error: {args.state_file}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -252,9 +252,6 @@ def cmd_compute(args) -> int:
         except StateFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except ImaginaryResidue as exc:  # valid, but its Bloch form is not real
-            print(f"error: {args.state_file}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         except OptimizerDidNotConverge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAILED

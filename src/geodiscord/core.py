@@ -32,6 +32,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_a (x) sigma_b at index 4 a + b, for a and b in (I, x, y, z)
+_PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (IDENTITY_2, *PAULI)
+                            for b in (IDENTITY_2, *PAULI)])
+_PAULI_PRODUCTS.flags.writeable = False
 
 
 class DensityValidationError(ValueError):
@@ -235,26 +239,14 @@ class BlochForm:
 
 
 def _pauli_expectations(m: np.ndarray) -> BlochForm:
-    x = np.empty(3)
-    y = np.empty(3)
-    t = np.empty((3, 3))
-    worst = 0.0
-    for i, si in enumerate(PAULI):
-        v = complex(np.trace(m @ np.kron(si, IDENTITY_2)))
-        worst = max(worst, abs(v.imag))
-        x[i] = v.real
-        v = complex(np.trace(m @ np.kron(IDENTITY_2, si)))
-        worst = max(worst, abs(v.imag))
-        y[i] = v.real
-        for j, sj in enumerate(PAULI):
-            v = complex(np.trace(m @ np.kron(si, sj)))
-            worst = max(worst, abs(v.imag))
-            t[i, j] = v.real
+    e = np.array([np.trace(m @ p) for p in _PAULI_PRODUCTS]).reshape(4, 4)
+    # e[0, 0] is tr(rho), whose imaginary part validation already bounds
+    worst = float(np.abs(e.imag).flat[1:].max())
     if worst > TOL_IMAG:
         raise ImaginaryResidue(
             f"Pauli expectation has imaginary residue {worst:.3e} > {TOL_IMAG}"
         )
-    return BlochForm(x, y, t)
+    return BlochForm(e.real[1:, 0], e.real[0, 1:], e.real[1:, 1:])
 
 
 def bloch_decompose(state: DensityMatrix4) -> BlochForm:
@@ -286,12 +278,13 @@ def reconstruct(bloch: BlochForm) -> DensityMatrix4:
         If the Bloch data describes a matrix with an eigenvalue below
         -TOL_PSD.  Hermiticity and unit trace hold by construction.
     """
+    p = _PAULI_PRODUCTS.reshape(4, 4, 4, 4)
     m = np.eye(4, dtype=complex)
-    for i, si in enumerate(PAULI):
-        m += bloch.x[i] * np.kron(si, IDENTITY_2)
-        m += bloch.y[i] * np.kron(IDENTITY_2, si)
-        for j, sj in enumerate(PAULI):
-            m += bloch.T[i, j] * np.kron(si, sj)
+    for i in range(1, 4):
+        m += bloch.x[i - 1] * p[i, 0]
+        m += bloch.y[i - 1] * p[0, i]
+        for j in range(1, 4):
+            m += bloch.T[i - 1, j - 1] * p[i, j]
     m /= 4.0
     try:
         return DensityMatrix4(m)

@@ -363,15 +363,16 @@ def gap_x(p: XStateParams) -> float:
 
 
 def _canonical_axis(v: np.ndarray) -> MeasurementAxis:
-    """Unit axis with a deterministic overall sign."""
+    """Unit axis with a deterministic overall sign: its largest-magnitude
+    component, the first on a tie, is positive, so round-off in components
+    far below the largest cannot flip it."""
     v = np.asarray(v, dtype=float)
     # math.sqrt(v @ v) is np.linalg.norm's own arithmetic on a 1-D vector
     n = math.sqrt(v @ v)
     if n == 0.0:
         return AXIS_Z
     v = v / n
-    lead = next((c for c in v.tolist() if abs(c) > 1e-14), 0.0)
-    if lead < 0.0:
+    if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     return MeasurementAxis(v / math.sqrt(v @ v))
 

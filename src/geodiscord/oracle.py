@@ -50,7 +50,10 @@ every round's window coordinates, in the frame (center, e_theta, e_phi),
 depend on the grid alone, so they are built once per ``GridSpec``
 (``_grid_tables``).  A round composes B[:, 1:] with its center's rotation
 (``_frame``), so it scores its window with one product as well; b0, rho0
-and k are fixed per state.
+and k are fixed per state.  The one-sided score b0^2 + 4 k + n^T Q n, with
+Q = beta beta^T + 4 R^T R, is a quadratic form in n, so the one-sided
+searches score Q's top eigenvector last (``_one_sided_search``); the grid
+stays, and the suite checks that no grid score beats that maximum.
 
 Grid semantics: ``n_theta`` is the number of polar intervals over [0, pi]
 (levels at i * pi / n_theta) and ``n_phi`` the number of azimuth points at
@@ -288,6 +291,23 @@ def _refine(grid: GridSpec, b, score):
     return val, center, history
 
 
+def _one_sided_search(grid: GridSpec, b):
+    """_refine with _one_sided, then one more candidate axis: the top
+    eigenvector of Q = beta beta^T + 4 R^T R.  The score c + 4 (k + s) =
+    b0^2 + 4 |rho0|^2 + n^T Q n is a quadratic form in n, so its maximum
+    over the sphere, b0^2 + 4 |rho0|^2 + lmax(Q), is reached there.  The
+    candidate replaces the center only on a strict gain, and its score is
+    folded into the last history entry."""
+    val, center, history = _refine(grid, b, _one_sided)
+    beta, r = b[0, 1:], b[1:, 1:]
+    n = np.linalg.eigh(np.outer(beta, beta) + 4.0 * r.T @ r)[1][:, -1]
+    top = float(_one_sided(b, (b[:, 1:] @ n)[:, None])[0])
+    if top > val:
+        val, center = top, n
+        history[-1] = val
+    return val, center, history
+
+
 def _pair_at(b, a):
     """Best purity over the b-sphere at the side-A unit vector a, and (a,
     b*) as MeasurementAxis; b = _row_map(rho4).  r_+/- = rho0 +/- R a are
@@ -328,10 +348,12 @@ def gd_bruteforce(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Mea
     """One-sided geometric discord by exhaustive side-A measurement search.
 
     Same grid and refinement as :func:`ggqd_bruteforce`, scoring each axis
-    by its own dephased purity.
+    by its own dephased purity, then the top axis of the score's quadratic
+    form (``_one_sided_search``), whose score the last history entry
+    includes.
     """
     b = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    val, a, history = _refine(grid, b, _one_sided)
+    val, a, history = _one_sided_search(grid, b)
     return _result(state, Method.BRUTE_FORCE, val, (MeasurementAxis(a), None), history)
 
 
@@ -358,6 +380,6 @@ def tqc_sequential(state: DensityMatrix4, grid: GridSpec = REFERENCE_GRID) -> Me
     history of :func:`gd_bruteforce`; step 2 is not a grid search.
     """
     b = _row_map(state.matrix.reshape(2, 2, 2, 2))
-    _, a, history = _refine(grid, b, _one_sided)
+    _, a, history = _one_sided_search(grid, b)
     val, axes = _pair_at(b, a)
     return _result(state, Method.TQC_SEQUENTIAL, val, axes, history)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from geodiscord import (
@@ -44,6 +44,19 @@ from geodiscord.cli import (
 )
 
 BELL_X = "X\n0.5 0 0 0.5\n0.5 0 0 0\n"
+
+
+def _residue_dm4(corner):
+    """DM4 text of I/4 with 0.05 at corner and its mirror, and 0.49e-12 i
+    added on the antidiagonal: Hermitian within TOL_HERM (deviation
+    9.8e-13), but the Pauli expectation of sigma_x sigma_x keeps an
+    imaginary part of 1.96e-12.  With corner (0, 3) the state is X-shaped."""
+    m = np.eye(4, dtype=complex) / 4
+    m[corner] = m[corner[::-1]] = 0.05
+    for index in ((0, 3), (3, 0), (1, 2), (2, 1)):
+        m[index] += 0.49e-12j
+    rows = ["DM4"] + [f"{float(v.real)!r} {float(v.imag)!r}" for v in m.ravel()]
+    return "\n".join(rows) + "\n"
 
 
 def write(tmp_path, name, content):
@@ -194,22 +207,21 @@ class TestCompute:
     @pytest.mark.parametrize("route", [["--method", "numeric"],
                                        ["--method", "analytic", "--measure", "gd"],
                                        ["--method", "brute", "--measure", "gd"],
-                                       ["--method", "brute", "--measure", "ggqd"]])
+                                       ["--method", "brute", "--measure", "ggqd"],
+                                       ["--method", "analytic", "--measure", "both"],
+                                       ["--method", "numeric", "--measure", "both"],
+                                       ["--method", "brute", "--measure", "both"]])
     def test_imaginary_residue_exit(self, tmp_path, capsys, route):
-        # Hermitian within TOL_HERM (deviation 9.8e-13), but the Pauli
-        # expectation of sigma_x sigma_x keeps an imaginary part of 1.96e-12
-        m = np.eye(4, dtype=complex) / 4
-        m[0, 1] = m[1, 0] = 0.05
-        for index in ((0, 3), (3, 0), (1, 2), (2, 1)):
-            m[index] += 0.49e-12j
-        rows = ["DM4"] + [f"{float(v.real)!r} {float(v.imag)!r}" for v in m.ravel()]
-        path = write(tmp_path, "residue.dm4", "\n".join(rows) + "\n")
-        assert main(["compute", path, *route]) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: Pauli expectation has imaginary residue 1.960e-12 > 1e-12\n"
-        )
+        # the X-shaped file must fail too, though the X route reads only
+        # the corners
+        for corner in ((0, 1), (0, 3)):
+            path = write(tmp_path, "residue.dm4", _residue_dm4(corner))
+            assert main(["compute", path, *route]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}: Pauli expectation has imaginary residue 1.960e-12 > 1e-12\n"
+            )
 
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file.x"]) == EXIT_USAGE
@@ -243,15 +255,18 @@ _BAD_TOKENS = ("nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "1e308", "-1.7
 def _state_file_bytes(draw):
     """DM4 or X text from a valid state, its trace moved near the tolerance,
     then damaged: bad tokens, lines or tokens dropped and repeated, blank
-    lines, and bytes that are not UTF-8.  A DM4 state may also gain an
-    antihermitian part inside TOL_HERM whose Pauli residue can pass TOL_IMAG."""
+    lines, and bytes that are not UTF-8.  A DM4 state, full-rank or
+    X-shaped, may also gain an antihermitian part inside TOL_HERM whose
+    Pauli residue can pass TOL_IMAG."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     scale = 1.0 + draw(st.sampled_from((0.0, 4e-13, 1e-12, 1.5e-12, -3e-12, 1e-9)))
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(("DM4", "X-shaped DM4", "X")))
+    if layout != "X":
+        state = random_density(rng) if layout == "DM4" else x_state(random_x_params(rng))
         # i eps on the antidiagonal: Hermiticity deviation 2 eps, and the
         # sigma_x sigma_x expectation gains an imaginary part 4 eps
         eps = draw(st.sampled_from((0.0, 0.2e-12, 0.49e-12)))
-        entries = (random_density(rng).matrix + 1j * eps * np.fliplr(np.eye(4))).ravel() * scale
+        entries = (state.matrix + 1j * eps * np.fliplr(np.eye(4))).ravel() * scale
         lines = [["DM4"]] + [[repr(float(v.real)), repr(float(v.imag))] for v in entries]
     else:
         p = random_x_params(rng)
@@ -284,7 +299,7 @@ def _state_file_bytes(draw):
     return data
 
 
-def _check_compute_exit_code(tmp_path, method, data):
+def _check_compute_exit_code(tmp_path, method, data) -> int:
     path = tmp_path / "state.txt"
     path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
@@ -294,6 +309,7 @@ def _check_compute_exit_code(tmp_path, method, data):
                     EXIT_UNWRITABLE)
     assert (code == EXIT_OK) == (err.getvalue() == "")
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 class TestComputeFuzz:
@@ -312,6 +328,17 @@ class TestComputeFuzz:
     @given(data=_state_file_bytes())
     def test_brute_exit_code_contract(self, tmp_path, data):
         _check_compute_exit_code(tmp_path, "brute", data)
+
+    # one validation rule for every method: a file that one method rejects
+    # as an invalid state (exit 3), the others reject too
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_state_file_bytes())
+    @example(data=_residue_dm4((0, 3)).encode())
+    def test_methods_agree_on_validation(self, tmp_path, data):
+        codes = {method: _check_compute_exit_code(tmp_path, method, data)
+                 for method in ("analytic", "numeric", "brute")}
+        assert len({code == EXIT_VALIDATION for code in codes.values()}) == 1, codes
 
 
 def _scalar_sweep_csv(argv) -> bytes:

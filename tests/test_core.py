@@ -23,11 +23,25 @@ from geodiscord import (
     maximally_mixed,
     purity,
     random_density,
+    random_x_params,
     reconstruct,
     validate_density,
+    x_state,
 )
 from geodiscord import core
 from geodiscord.core import BlochForm
+
+
+def kron_loop_bloch(m):
+    """Reference Bloch form: one Kronecker product and one trace per Pauli
+    expectation, entry by entry."""
+    x, y, t = np.empty(3), np.empty(3), np.empty((3, 3))
+    for i, si in enumerate(core.PAULI):
+        x[i] = np.trace(m @ np.kron(si, core.IDENTITY_2)).real
+        y[i] = np.trace(m @ np.kron(core.IDENTITY_2, si)).real
+        for j, sj in enumerate(core.PAULI):
+            t[i, j] = np.trace(m @ np.kron(si, sj)).real
+    return x, y, t
 
 
 def bell_phi_plus():
@@ -110,6 +124,22 @@ class TestBloch:
             state = random_density(rng)
             back = reconstruct(bloch_decompose(state))
             assert_allclose(back.matrix, state.matrix, atol=1e-14)
+
+    def test_matches_kron_loop_bitwise(self):
+        # the product table keeps the loop's arithmetic per entry
+        rng = np.random.default_rng(15)
+        states = [random_density(rng).matrix for _ in range(20)]
+        for rank in (1, 2):
+            for _ in range(10):
+                g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+                m = g @ g.conj().T
+                states.append(m / np.trace(m).real)
+        states += [x_state(random_x_params(rng)).matrix for _ in range(10)]
+        states += [bell_phi_plus(), maximally_mixed().matrix]
+        for m in states:
+            b = bloch_decompose(validate_density(m))
+            for got, want in zip((b.x, b.y, b.T), kron_loop_bloch(m)):
+                assert np.array_equal(got, want)
 
     def test_purity_identity(self):
         # (1 + |x|^2 + |y|^2 + |T|^2) / 4 reproduces tr(rho^2)

@@ -730,6 +730,33 @@ class TestBruteForce:
             assert abs(res.value - literal) <= 1e-12
         assert np.array_equal(res.maximizer[1].n, [0.0, 0.0, 1.0])
 
+    def test_one_sided_scores_stay_below_closed_maximum(self):
+        # the one-sided score is b0^2 + 4 |rho0|^2 + n^T Q n with Q = beta
+        # beta^T + 4 R^T R, so no base-grid or window axis may beat b0^2 +
+        # 4 |rho0|^2 + lmax(Q); the search's last candidate, Q's top
+        # eigenvector, reaches it at an axis a literal apply_measurement
+        # confirms
+        rng = np.random.default_rng(67)
+        states = [random_density(rng) for _ in range(8)]
+        states += [x_state(random_x_params(rng)) for _ in range(8)]
+        states += [validate_density(_pure(rng)), x_state(BELL), _werner(0.6),
+                   _rotated_werner(0.6, rng), maximally_mixed()]
+        for st in states:
+            b = _row_map(st.matrix.reshape(2, 2, 2, 2))
+            beta, rho0, r = b[0, 1:], b[1:, 0], b[1:, 1:]
+            q = np.outer(beta, beta) + 4.0 * r.T @ r
+            top = b[0, 0] ** 2 + 4.0 * rho0 @ rho0 + np.linalg.eigvalsh(q)[-1]
+            scores = []
+            oracle._refine(REFERENCE_GRID, b,
+                           lambda b, p: scores.append(_one_sided(b, p)) or scores[-1])
+            assert len(scores) == REFERENCE_GRID.refine_iters + 1
+            assert max(s.max() for s in scores) <= top + 1e-15
+            res = gd_bruteforce(st)
+            assert len(res.history) == REFERENCE_GRID.refine_iters + 1
+            assert abs(res.history[-1] - top) <= 1e-15
+            literal = purity(st) - purity(apply_measurement(st, res.maximizer[0]))
+            assert abs(res.value - literal) <= 1e-12
+
     def test_optimum_near_a_pole_is_found(self):
         # the base winner of state #255 of this seed is the north pole, with
         # a* 0.023 rad off it; a (theta, phi) refinement box there missed it,
