@@ -35,7 +35,21 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_a (x) sigma_b at index 4 a + b, for a and b in (I, x, y, z)
 _PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (IDENTITY_2, *PAULI)
                             for b in (IDENTITY_2, *PAULI)])
-_PAULI_PRODUCTS.flags.writeable = False
+# tr(rho P) sums rho[i, k] P[k, i] over the one nonzero P[k, i] of each
+# column i: per product, the flat indices 4 i + k of rho and the phases
+_p, _i, _k = np.nonzero(_PAULI_PRODUCTS.transpose(0, 2, 1))
+_TRACE_INDEX = (4 * _i + _k).reshape(16, 4)
+_TRACE_PHASE = _PAULI_PRODUCTS[_p, _k, _i].reshape(16, 4)
+# reconstruct's terms: per entry 4 r + c of rho, the four products nonzero
+# there, in the order they are added (I, then (i, 0), (0, i), (i, 1..3) for
+# i = 1..3), and their entries at (r, c)
+_order = np.array([0] + [q for i in (1, 2, 3) for q in (4 * i, i, *range(4 * i + 1, 4 * i + 4))])
+_e, _n = np.nonzero(_PAULI_PRODUCTS[_order].reshape(16, 16).T)
+_TERM_INDEX = _order[_n].reshape(16, 4)
+_TERM_PHASE = _PAULI_PRODUCTS.reshape(16, 16)[_TERM_INDEX, _e.reshape(16, 4)]
+for _table in (_PAULI_PRODUCTS, _TRACE_INDEX, _TRACE_PHASE, _TERM_INDEX, _TERM_PHASE):
+    _table.flags.writeable = False
+del _p, _i, _k, _order, _e, _n, _table
 
 
 class DensityValidationError(ValueError):
@@ -239,7 +253,7 @@ class BlochForm:
 
 
 def _pauli_expectations(m: np.ndarray) -> BlochForm:
-    e = np.array([np.trace(m @ p) for p in _PAULI_PRODUCTS]).reshape(4, 4)
+    e = (m.reshape(16)[_TRACE_INDEX] * _TRACE_PHASE).sum(axis=-1).reshape(4, 4)
     # e[0, 0] is tr(rho), whose imaginary part validation already bounds
     worst = float(np.abs(e.imag).flat[1:].max())
     if worst > TOL_IMAG:
@@ -278,14 +292,10 @@ def reconstruct(bloch: BlochForm) -> DensityMatrix4:
         If the Bloch data describes a matrix with an eigenvalue below
         -TOL_PSD.  Hermiticity and unit trace hold by construction.
     """
-    p = _PAULI_PRODUCTS.reshape(4, 4, 4, 4)
-    m = np.eye(4, dtype=complex)
-    for i in range(1, 4):
-        m += bloch.x[i - 1] * p[i, 0]
-        m += bloch.y[i - 1] * p[0, i]
-        for j in range(1, 4):
-            m += bloch.T[i - 1, j - 1] * p[i, j]
-    m /= 4.0
+    c = np.concatenate(([1.0], bloch.y, np.column_stack((bloch.x, bloch.T)).ravel()))
+    g = c[_TERM_INDEX] * _TERM_PHASE
+    # left to right, not pairwise as .sum would; + 0.0 makes an exact zero +0
+    m = ((((g[:, 0] + g[:, 1]) + g[:, 2]) + g[:, 3] + 0.0) / 4.0).reshape(4, 4)
     try:
         return DensityMatrix4(m)
     except NotPSD as exc:

@@ -44,6 +44,28 @@ def kron_loop_bloch(m):
     return x, y, t
 
 
+def kron_loop_reconstruct(bloch):
+    """Reference reconstruction: the identity plus each Pauli product in
+    turn, (i, 0), (0, i), (i, 1), (i, 2), (i, 3) for i = 1..3, then / 4."""
+    p = core._PAULI_PRODUCTS.reshape(4, 4, 4, 4)
+    m = np.eye(4, dtype=complex)
+    for i in range(1, 4):
+        m += bloch.x[i - 1] * p[i, 0]
+        m += bloch.y[i - 1] * p[0, i]
+        for j in range(1, 4):
+            m += bloch.T[i - 1, j - 1] * p[i, j]
+    m /= 4.0
+    return m
+
+
+def same_bits(got, want):
+    """Equal real and imaginary parts, signs of zeros included."""
+    return all(
+        np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        for a, b in ((got.real, want.real), (got.imag, want.imag))
+    )
+
+
 def bell_phi_plus():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = 0.5
@@ -141,6 +163,24 @@ class TestBloch:
             for got, want in zip((b.x, b.y, b.T), kron_loop_bloch(m)):
                 assert np.array_equal(got, want)
 
+    def test_reconstruct_matches_kron_loop_bitwise(self):
+        # each entry sums its four products in the loop's order, so forms
+        # with exact zeros (X states, degenerate_t_state's diagonal T) and
+        # general ones rebuild the same bits
+        rng = np.random.default_rng(16)
+        forms = [bloch_decompose(random_density(rng)) for _ in range(30)]
+        forms += [bloch_decompose(x_state(random_x_params(rng))) for _ in range(30)]
+        for _ in range(30):
+            s = rng.uniform(0.1, 0.3)
+            t = np.diag([s, s, rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0) * s])
+            x, y = (rng.normal(size=3) * 0.01 * (rng.random(3) < 0.5) for _ in range(2))
+            forms.append(BlochForm(x, y, t))
+            # negated, the zeros are -0, where a sum from 0 ends at +0
+            forms.append(BlochForm(-x, -y, -t))
+        forms += [bloch_decompose(validate_density(m)) for m in (np.eye(4) / 4, bell_phi_plus())]
+        for b in forms:
+            assert same_bits(reconstruct(b).matrix, kron_loop_reconstruct(b))
+
     def test_purity_identity(self):
         # (1 + |x|^2 + |y|^2 + |T|^2) / 4 reproduces tr(rho^2)
         rng = np.random.default_rng(13)
@@ -215,6 +255,34 @@ class TestBloch:
         bad = BlochForm(np.array([0.9, 0.0, 0.0]), np.zeros(3), t)
         with pytest.raises(ReconstructionNotPSD):
             reconstruct(bad)
+
+
+class TestProductTables:
+    def test_one_nonzero_per_row_and_column(self):
+        nonzero = core._PAULI_PRODUCTS != 0
+        assert (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()
+
+    def test_phases_are_units(self):
+        for phases in (core._TRACE_PHASE, core._TERM_PHASE):
+            assert phases.shape == (16, 4)
+            assert np.isin(phases, [1, -1, 1j, -1j]).all()
+
+    def test_tables_are_read_only(self):
+        for table in (core._PAULI_PRODUCTS, core._TRACE_INDEX, core._TRACE_PHASE,
+                      core._TERM_INDEX, core._TERM_PHASE):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+
+    def test_gather_matches_trace_bitwise(self):
+        # non-Hermitian input keeps imaginary parts, which the residue rule
+        # reads, so those must be the trace's bits too
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            gathered = (m.reshape(16)[core._TRACE_INDEX] * core._TRACE_PHASE).sum(axis=-1)
+            traces = np.array([np.trace(m @ p) for p in core._PAULI_PRODUCTS])
+            assert same_bits(gathered, traces)
 
 
 class TestMeasurementAxis:

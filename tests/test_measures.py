@@ -13,6 +13,7 @@ from geodiscord import (
     Method,
     OptimizerDidNotConverge,
     XStateParams,
+    bloch_decompose,
     classify_x_case,
     example1,
     example2,
@@ -413,6 +414,19 @@ def degenerate_t_state(rng):
     return u @ m @ u.conj().T
 
 
+def channel_state(rng):
+    # (I x Phi)(|Omega><Omega|) for the qubit channel whose Kraus operators
+    # are the 2x2 blocks of a random isometry, so rho_A = I/2 and x = 0
+    v = random_unitary(rng, 8)[:, :2]
+    omega = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]) / 2.0
+    kraus = [np.kron(np.eye(2), v[2 * k:2 * k + 2]) for k in range(4)]
+    return sum(k @ omega @ k.conj().T for k in kraus)
+
+
+def side_b_dakic(m):
+    return gd_dakic(validate_density(SWAP @ m @ SWAP)).value
+
+
 def count_steps(monkeypatch):
     """Record each call of ggqd_general's closed-form step, two per sweep."""
     calls = []
@@ -577,6 +591,40 @@ class TestTwoSidedAscent:
         for _ in range(20):
             with pytest.raises(OptimizerDidNotConverge):
                 ggqd_general(random_density(rng))
+
+
+class TestClosedReferences:
+    def test_channel_states_attain_side_b_dakic(self):
+        # with x = 0 the best side-A axis scores (b.y)^2 + |T b|^2 for each
+        # b, so GGQD is Dakic's form on side B, GD_B; the grid oracle may sit
+        # just above it, never below
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            m = channel_state(rng)
+            st = validate_density(m)
+            assert np.abs(bloch_decompose(st).x).max() < 1e-14
+            gd_b = side_b_dakic(m)
+            for evaluator in (ggqd_general, ggqd_matrix_form):
+                assert abs(evaluator(st).value - gd_b) <= 1e-12, evaluator.__name__
+            assert gd_b - 1e-12 <= ggqd_bruteforce(st).value <= gd_b + 1e-10
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_density(rng).matrix, pure_state, rank2_state, product_state,
+        degenerate_t_state, channel_state,
+    ], ids=["ginibre", "pure", "rank2", "product", "degenerate_t", "channel"])
+    def test_general_within_dakic_bracket(self, make):
+        # max(GD_A, GD_B) <= GGQD <= min(GD_A + |y|^2/4, GD_B + |x|^2/4): the
+        # upper edges measure side A along T b* / |T b*| at the side-B Dakic
+        # axis b*, and the mirror of that
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            m = make(rng)
+            st = validate_density(m)
+            b = bloch_decompose(st)
+            gd_a, gd_b = gd_dakic(st).value, side_b_dakic(m)
+            value = ggqd_general(st).value
+            assert max(gd_a, gd_b) - 1e-12 <= value
+            assert value <= min(gd_a + b.y @ b.y / 4.0, gd_b + b.x @ b.x / 4.0) + 1e-12
 
 
 def _step_rows(scale):
