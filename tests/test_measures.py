@@ -1,5 +1,7 @@
 """Closed forms, case classification, and the numeric evaluators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,7 +498,8 @@ class TestTwoSidedAscent:
         # on this nearly flat ring the ascent used all 20 000 sweeps with the
         # extrapolation along each sweep's move alone, and the two evaluators
         # stopped 2.7e-10 apart; with the minimal-polynomial limit of each
-        # step's three sweeps it needs 258
+        # step's three sweeps it needed 258, later 199; with the trial points
+        # on the line from the last sweep to that limit it needs 13
         st = validate_density(degenerate_t_state(np.random.default_rng(1110)))
         calls = count_steps(monkeypatch)
         value = ggqd_general(st).value
@@ -535,7 +538,9 @@ class TestTwoSidedAscent:
         # T has singular values 0.53971 and 0.53959: the plain alternating
         # sweep converges with a ratio near 1 and used the whole 20 000-sweep
         # budget here; extrapolating along each sweep's move alone needed 453,
-        # with the minimal-polynomial limit of each step's three sweeps 33
+        # with the minimal-polynomial limit of each step's three sweeps 33,
+        # later 28; with the trial points on the line from the last sweep to
+        # that limit it needs 13
         p = XStateParams(
             0.2281344028399197,
             0.1328427994509377,
@@ -552,7 +557,7 @@ class TestTwoSidedAscent:
     @pytest.mark.parametrize("p", [None, 0.1, 1 / 3, 0.6, 1.0])
     def test_quiet_first_sweep_ends_stage_one(self, monkeypatch, p):
         # every start of I/4 and of these Werner states begins at a maximum,
-        # so stage one ends on its first sweep: one b-step for the side-A
+        # so the ascent ends on its first sweep: one b-step for the side-A
         # starts, one sweep (two steps) and the closing a-step; a full
         # three-sweep step would make eight
         st = maximally_mixed() if p is None else validate_density(werner_state(p))
@@ -563,7 +568,8 @@ class TestTwoSidedAscent:
     def test_far_below_starts_retire(self, monkeypatch):
         # state #362 of this pool: a start crawling along the flat ring far
         # below the best used 19 998 of the 20 000 sweeps before such starts
-        # were retired; the value did not move
+        # were retired, 34 after; the value did not move.  With the trial
+        # points on the line to each step's limit it needs 10
         rng = np.random.default_rng(2026)
         for _ in range(363):
             m = degenerate_t_state(rng)
@@ -576,7 +582,8 @@ class TestTwoSidedAscent:
 
     def test_second_maximum_start_retires(self, monkeypatch):
         # X state #745 of this pool: a start crawling toward a second maximum
-        # 4e-4 below the top took 294 sweeps before it was retired
+        # 4e-4 below the top took 294 sweeps before it was retired, 67 after,
+        # and 22 with the trial points on the line to each step's limit
         rng = np.random.default_rng(11)
         for _ in range(746):
             p = random_x_params(rng)
@@ -584,6 +591,35 @@ class TestTwoSidedAscent:
         value = ggqd_general(x_state(p)).value
         assert (len(calls) - 2) // 2 < 100  # two steps per sweep
         assert value == pytest.approx(ggqd_x(normalize_x_phases(p).normalized).value, abs=1e-12)
+
+    def test_near_equal_third_singular_value_converges(self, monkeypatch):
+        # state #1004 of this pool: T's singular values 0.1741, 0.1741 and
+        # 0.1615 with |x| 1.6e-4 and |y| 1.3e-3; near-top starts crawled for
+        # 4 432 sweeps when each step tried multiples of its last move and
+        # the limit of its three sweeps apart, 13 with the trial points on
+        # the line to that limit, to the same value
+        rng = np.random.default_rng(2026)
+        for _ in range(1005):
+            m = degenerate_t_state(rng)
+        st = validate_density(m)
+        calls = count_steps(monkeypatch)
+        value = ggqd_general(st).value
+        assert (len(calls) - 2) // 2 < 100  # two steps per sweep
+        assert value == pytest.approx(ggqd_matrix_form(st).value, abs=1e-13)
+        assert value <= ggqd_bruteforce(st).value + 1e-12
+
+    def test_degenerate_t_pools_converge_quickly(self, monkeypatch):
+        # with separate move multiples and limit, 12 of these 300 states took
+        # more than 100 sweeps, the worst 1 885 (seed 5, #39); with the trial
+        # points on the line to each step's limit none takes more than 19
+        calls = count_steps(monkeypatch)
+        for seed in (2026, 11, 5):
+            rng = np.random.default_rng(seed)
+            for i in range(100):
+                st = validate_density(degenerate_t_state(rng))
+                calls.clear()
+                ggqd_general(st)
+                assert (len(calls) - 2) // 2 < 50, (seed, i)  # two steps per sweep
 
     def test_guard_fires_when_sweeps_run_out(self, monkeypatch):
         monkeypatch.setattr(measures, "_MAX_SWEEPS", 1)
@@ -647,6 +683,45 @@ def _step_rows(scale):
     yield np.array([scale, 0.0, 0.0]), scale * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     yield 1e-9 * u, vs
     yield 1e9 * u, vs
+
+
+class TestPolynomialLimit:
+    def test_limit_of_two_mode_paths(self):
+        # b_{j+1} - b* = M (b_j - b*) for a map M with two modes and a first
+        # deviation in their span: three moves fix its minimal polynomial,
+        # so the limit is b*, returned as a unit vector up to sign
+        rng = np.random.default_rng(70)
+        paths, targets = [], []
+        for _ in range(5):
+            modes = rng.normal(size=(3, 3))
+            m = modes @ np.diag([*rng.uniform(-0.9, 0.95, size=2), 0.0]) @ np.linalg.inv(modes)
+            target = rng.normal(size=3)
+            dev = 0.1 * modes[:, :2] @ rng.normal(size=2)
+            path = [target + dev]
+            for _ in range(3):
+                dev = m @ dev
+                path.append(target + dev)
+            paths.append(path)
+            targets.append(target / np.linalg.norm(target))
+        limit = measures._polynomial_limit(np.array(paths))
+        for got, want in zip(limit, targets):
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-12
+
+    def test_parallel_or_no_moves_keep_last_point(self):
+        # exactly parallel moves (eighths, exact in binary) leave the 2x2
+        # fit singular and every coefficient exactly zero, as does a path
+        # that does not move: the last point comes back unchanged
+        start = np.array([0.25, -0.5, 0.875])
+        move = np.array([0.125, 0.375, -0.25])
+        paths = np.array([
+            [start + k * move for k in (0.0, 1.0, 1.5, 1.75)],
+            [start - k * move for k in (0.0, 2.0, 1.0, 3.0)],
+            [start] * 4,
+        ])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            limit = measures._polynomial_limit(paths)
+        assert np.array_equal(limit, paths[:, -1])
 
 
 class TestRank2Step:
