@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     DensityMatrix4,
-    DensityValidationError,
     MeasurementAxis,
     bloch_decompose,
     validate_density,
@@ -209,6 +208,12 @@ def cmd_compute(args) -> int:
 
     try:
         parsed = parse_state_text(text)
+        state = (x_state(parsed) if isinstance(parsed, XStateParams)
+                 else validate_density(parsed))
+        # one residue rule for every method: the X forms read only rho's
+        # corners and the oracles its entries, so neither takes the Bloch
+        # form that would raise ImaginaryResidue
+        bloch_decompose(state)
     except StateFileError as exc:
         print(f"error: {args.state_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -216,23 +221,12 @@ def cmd_compute(args) -> int:
         print(f"error: {args.state_file}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    # an X file's state holds exact zeros off the pattern and its own
+    # floats on it, so its fields come back bit for bit
     try:
-        if isinstance(parsed, XStateParams):
-            params: XStateParams | None = parsed
-            state = x_state(parsed)
-        else:
-            state = validate_density(parsed)
-            try:
-                params = as_x_params(state)
-            except ValueError:
-                params = None
-        # one residue rule for every method: the X forms read only rho's
-        # corners and the oracles its entries, so neither takes the Bloch
-        # form that would raise ImaginaryResidue
-        bloch_decompose(state)
-    except (DensityValidationError, ValueError) as exc:
-        print(f"error: {args.state_file}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        params = as_x_params(state)
+    except ValueError:
+        params = None
 
     normalized = None
     if params is not None:

@@ -40,8 +40,8 @@ it, and all stop at once when a step's first sweep raises none of them.
 OptimizerDidNotConverge is raised when the best three then differ by more
 than 1e-9.
 An independent evaluator, :func:`ggqd_matrix_form`, runs the same ascent on
-a biquadratic form recovered from literal block-matrix products and serves as
-a cross-check of :func:`ggqd_general`.
+the trace of literal block-matrix products, one 4x4 matrix per axis, and
+serves as a cross-check of :func:`ggqd_general`.
 """
 
 from __future__ import annotations
@@ -638,38 +638,6 @@ def ggqd_general(state: DensityMatrix4) -> MeasureResult:
     )
 
 
-# The origin and six points whose values fix an even quadratic in v.
-_EXTRACT_POINTS = np.array(
-    [
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [1.0, 1.0, 0.0],
-        [1.0, 0.0, 1.0],
-        [0.0, 1.0, 1.0],
-    ]
-)
-
-
-def _monomials(v: np.ndarray) -> np.ndarray:
-    """(..., 3) -> (..., 6): v1^2, v2^2, v3^2, v1 v2, v1 v3, v2 v3."""
-    return v[..., [0, 1, 2, 0, 0, 1]] * v[..., [0, 1, 2, 1, 2, 2]]
-
-
-def _quadratic_matrices(g: np.ndarray) -> np.ndarray:
-    """(..., 6) monomial coefficients -> (..., 3, 3) symmetric matrices M
-    with v^t M v = _monomials(v) . g."""
-    mats = np.empty(g.shape[:-1] + (3, 3))
-    mats[..., 0, 0] = g[..., 0]
-    mats[..., 1, 1] = g[..., 1]
-    mats[..., 2, 2] = g[..., 2]
-    mats[..., 0, 1] = mats[..., 1, 0] = 0.5 * g[..., 3]
-    mats[..., 0, 2] = mats[..., 2, 0] = 0.5 * g[..., 4]
-    mats[..., 1, 2] = mats[..., 2, 1] = 0.5 * g[..., 5]
-    return mats
-
-
 def _block_row(v: np.ndarray) -> np.ndarray:
     """(..., 3) -> (..., 2, 4): the blocks (1/sqrt2) [[1, v], [1, -v]]."""
     out = np.empty(v.shape[:-1] + (2, 4))
@@ -684,72 +652,55 @@ def ggqd_matrix_form(state: DensityMatrix4) -> MeasureResult:
 
     Evaluates tr(C C^t) - max_{a,b} tr(A C B^t B C^t A^t) with
     C = (1/2) [[1, y^t], [x, T]] and A, B the 2x4 blocks
-    (1/sqrt2) [[1, a], [1, -a]] built from unit vectors a and b.  The trace
-    objective is even in a and in b and quadratic in each, so with
-    m(v) = [1, v1^2, v2^2, v3^2, v1 v2, v1 v3, v2 v3] it is exactly
-    m(a)^t W m(b) for a 7x7 coefficient matrix W, that is
+    (1/sqrt2) [[1, a], [1, -a]] built from unit vectors a and b
+    (:func:`_block_row`).  For unit a, A^t A = diag(1, a a^t), so for fixed
+    b the trace is
 
-        c0 + a^t qa a + b^t qb b + a^t G(b) a,   a^t G(b) a = b^t G'(a) b,
+        tr(A^t A C B^t B C^t) = M_00 + a^t M[1:, 1:] a,   M = C B^t B C^t,
 
-    with c0 = W[0, 0], qa read off W[1:, 0], qb off W[0, 1:] and G off
-    W[1:, 1:].  W is solved from one 7x7 table of literal evaluations at
-    every pair of the origin, the three unit axes and their three pairwise
-    sums, on both sides against the basis m at those points.  For fixed b
-    the best a is the top eigenvector of qa + G(b), and for fixed a the best
-    b is the top eigenvector of qb + G'(a); each step maximizes over one axis
-    with the other held, so alternating the two never decreases the
-    objective.  The objective maximized over a is
-    c0 + b^t qb b + lam_max(qa + G(b)), and over b the mirror image.  The
-    starts, the three-sweep steps with their trial points toward the
-    minimal-polynomial limit, the stopping rule (a start stops when a step
-    no longer raises it, and all stop when a step's first sweep raises none
-    of them) and the guard are the shared ones of :func:`_eigen_ascent`, as
-    for :func:`ggqd_general`.  W is scaled by 8 first, so that the ascent sees
-    8 x the dephased purity (1 + f)/4 = 2 + 2 f, which rises as
-    ggqd_general's 2 f does and so meets the same tolerances:
-    OptimizerDidNotConverge when the best three starts differ in it by more
-    than 1e-9.  This shares no algebra with :func:`ggqd_general` beyond the
-    coefficient matrix C, so it serves as an independent check of that route.
+    with M formed as that literal product for each b of a stack.  The best
+    a is the top eigenvector of M[1:, 1:], and the trace maximized over a
+    is M_00 + lam_max(M[1:, 1:]).  The trace is also tr(B^t B C^t A^t A C),
+    so for fixed a the same holds with C^t in place of C.  Each step
+    maximizes over one axis with the other held, so alternating the two
+    never decreases the trace.  The starts, the three-sweep steps with their
+    trial points toward the minimal-polynomial limit, the stopping rule (a
+    start stops when a step no longer raises it, and all stop when a step's
+    first sweep raises none of them) and the guard are the shared ones of
+    :func:`_eigen_ascent`, as for :func:`ggqd_general`.  M is scaled by 8,
+    so that the ascent sees 8 x the dephased purity (1 + f)/4 = 2 + 2 f,
+    which rises as ggqd_general's 2 f does and so meets the same
+    tolerances: OptimizerDidNotConverge when the best three starts differ in
+    it by more than 1e-9.  Stacked matrix products and LAPACK's eigensolver
+    treat each row on its own, so a start's steps and values are the same
+    bits however many other starts share its call.  This shares no algebra
+    with :func:`ggqd_general` beyond the coefficient matrix C, so it serves
+    as an independent check of that route.
     """
     c = bloch_decompose(state).coefficient_matrix()
     trcc = float((c * c).sum())
 
-    pts = _EXTRACT_POINTS
-    blocks = _block_row(pts)
-    # the literal products A C B^t for every pair (a, b) of points
-    prods = blocks[:, None] @ c @ np.swapaxes(blocks, -1, -2)
-    table = (prods * prods).sum(axis=(-2, -1))
-    basis = np.column_stack([np.ones(len(pts)), _monomials(pts)])
-    # scaled to the units of the shared ascent's tolerances (see docstring)
-    coef = 8.0 * np.linalg.solve(basis, np.linalg.solve(basis, table).T).T
-    c0, wa, wb = coef[0, 0], coef[:, 1:].T, coef[1:, :]
-    qa, qb = _quadratic_matrices(coef[1:, 0]), _quadratic_matrices(coef[0, 1:])
-
-    def forms(v, w, q):
-        """_monomials(v) @ w for an (n, 3) stack v, split into its column 0
-        and the rest: w = wa = W[:, 1:]^t for v = b gives b^t qb b and the
-        coefficients of G(b), w = wb = W[1:, :] for v = a gives a^t qa a and
-        those of G'(a).  Returns that form and q plus the cross term's
-        matrix.  The product is a broadcast sum over the six monomials, not a
-        matrix product or an einsum, which may take another kernel for one
-        row than for a stack and round differently; so a start's steps and
-        values are the same bits however many other starts share its call."""
-        g = (_monomials(v).T[:, None] * w[:, :, None]).sum(axis=0)
-        return g[0], q + _quadratic_matrices(g[1:].T)
+    def forms(v, left):
+        """M_00 and M[1:, 1:] of M = 8 L V^t V L^t for each row v of an
+        (n, 3) stack, V = _block_row(v): L = C for side-B axes, C^t for
+        side-A axes.  The 8 gives the shared ascent's units (see docstring)."""
+        blocks = _block_row(v)
+        m = 8.0 * (left @ (np.swapaxes(blocks, -1, -2) @ blocks) @ left.T)
+        return m[:, 0, 0], m[:, 1:, 1:]
 
     def objective(b):
-        quad_b, mats = forms(b, wa, qa)
-        return c0 + quad_b + np.linalg.eigvalsh(mats)[..., -1]
+        m00, mats = forms(b, c)
+        return m00 + np.linalg.eigvalsh(mats)[..., -1]
 
     def objective_a(a):
-        quad_a, mats = forms(a, wb, qb)
-        return c0 + quad_a + np.linalg.eigvalsh(mats)[..., -1]
+        m00, mats = forms(a, c.T)
+        return m00 + np.linalg.eigvalsh(mats)[..., -1]
 
     def a_step(b):
-        return np.linalg.eigh(forms(b, wa, qa)[1])[1][..., -1]
+        return np.linalg.eigh(forms(b, c)[1])[1][..., -1]
 
     def b_step(a):
-        return np.linalg.eigh(forms(a, wb, qb)[1])[1][..., -1]
+        return np.linalg.eigh(forms(a, c.T)[1])[1][..., -1]
 
     a, b, inner = _eigen_ascent(a_step, b_step, objective, objective_a)
     value, clamped = _finalize(trcc - inner / 8.0)

@@ -118,28 +118,15 @@ REFERENCE_GRID = GridSpec()
 def _scan_angles(grid: GridSpec):
     """Base-scan angles covering every distinct measurement axis pair once
     (up to the antipodal identification; the equator row carries a few
-    harmless duplicates)."""
-    if grid.n_phi % 2 == 0:
-        k_max = grid.n_theta // 2
-    else:
-        k_max = grid.n_theta  # odd azimuth count: antipodes are off-grid
-    thetas = [0.0]
-    phis = [0.0]
-    if k_max == grid.n_theta:
-        pole_levels = (0, grid.n_theta)
-    else:
-        pole_levels = (0,)
+    harmless duplicates): the north pole, then n_phi azimuths at each polar
+    level in turn, then, for odd n_phi only, the south pole."""
+    odd = grid.n_phi % 2  # odd azimuth count: antipodes are off-grid
+    levels = np.arange(1, grid.n_theta if odd else grid.n_theta // 2 + 1)
     ph_row = 2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi
-    for i in range(1, k_max + 1):
-        if i in pole_levels:
-            continue
-        t = i * np.pi / grid.n_theta
-        thetas.extend([t] * grid.n_phi)
-        phis.extend(ph_row)
-    if k_max == grid.n_theta:
-        thetas.append(np.pi)
-        phis.append(0.0)
-    return np.asarray(thetas), np.asarray(phis)
+    thetas = np.repeat(levels * np.pi / grid.n_theta, grid.n_phi)
+    phis = np.tile(ph_row, levels.size)
+    return (np.concatenate([[0.0], thetas, [np.pi] * odd]),
+            np.concatenate([[0.0], phis, [0.0] * odd]))
 
 
 def _frame(center):

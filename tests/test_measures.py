@@ -331,6 +331,46 @@ class TestGeneralEvaluators:
             for fn in caught.value.args[0]:  # a_step, b_step, objective, objective_a
                 assert np.array_equal(fn(v)[0], fn(v[:1])[0])
 
+    def test_matrix_form_closures_are_the_literal_trace(self, monkeypatch):
+        # objective(b) / 8 is tr(A C B^t B C^t A^t) at a = a_step(b), with the
+        # blocks A and B written out, and no other unit a scores above it;
+        # objective_a and b_step the same with the sides exchanged
+        class Captured(Exception):
+            pass
+
+        def capture(*steps):
+            raise Captured(steps)
+
+        def unit_rows(rng, n):
+            v = rng.normal(size=(n, 3))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        def block(n):
+            return np.array([[1.0, *n], [1.0, *-n]]) / np.sqrt(2.0)
+
+        monkeypatch.setattr(measures, "_eigen_ascent", capture)
+        rng = np.random.default_rng(33)
+        states = [random_density(rng), x_state(random_x_params(rng)), x_state(BELL),
+                  maximally_mixed()]
+        for st in states:
+            with pytest.raises(Captured) as caught:
+                ggqd_matrix_form(st)
+            a_step, b_step, objective, objective_a = caught.value.args[0]
+            c = bloch_decompose(st).coefficient_matrix()
+
+            def trace(a, b):
+                ma, mb = block(a), block(b)
+                return np.trace(ma @ c @ mb.T @ mb @ c.T @ ma.T)
+
+            v, others = unit_rows(rng, 24), unit_rows(rng, 200)
+            for step, score, pair in (
+                (a_step, objective, trace),
+                (b_step, objective_a, lambda b, a: trace(a, b)),
+            ):
+                for held, best, top in zip(v, step(v), score(v) / 8.0):
+                    assert pair(best, held) == pytest.approx(top, abs=1e-15)
+                    assert max(pair(w, held) for w in others) <= top + 1e-15
+
     def test_bell_and_mixed(self):
         assert ggqd_general(x_state(BELL)).value == pytest.approx(0.5, abs=1e-9)
         assert ggqd_general(maximally_mixed()).value == pytest.approx(0.0, abs=1e-12)

@@ -326,6 +326,24 @@ class TestGridSpec:
         th, _ = _scan_angles(GridSpec(n_theta=16, n_phi=17))
         assert th.max() == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize("n_phi", [32, 17])
+    def test_scan_order_matches_level_loop(self, n_phi):
+        # ties resolve to the first axis scanned, so the order is part of
+        # the result: the north pole, each polar level's azimuths in turn,
+        # and the south pole for odd n_phi, as a loop over levels lists them
+        grid = GridSpec(n_theta=16, n_phi=n_phi)
+        top = grid.n_theta - 1 if n_phi % 2 else grid.n_theta // 2
+        thetas, phis = [0.0], [0.0]
+        for i in range(1, top + 1):
+            thetas.extend([i * np.pi / grid.n_theta] * grid.n_phi)
+            phis.extend(2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi)
+        if n_phi % 2:
+            thetas.append(np.pi)
+            phis.append(0.0)
+        th, ph = _scan_angles(grid)
+        assert th.size == ph.size == len(thetas)
+        assert np.array_equal(th, thetas) and np.array_equal(ph, phis)
+
     @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.3, np.pi / 2, np.pi - 1e-3, np.pi])
     def test_windows_are_tangent_squares(self, theta):
         # a window covers the same patch of sphere wherever its center lies:
